@@ -90,8 +90,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--perf-smoke") == 0) perf_smoke = true;
   }
   json.config("perf_smoke", perf_smoke);
-  const std::size_t workers = 4;
-  json.config("explorer_workers", workers);
 
   bool equal_verdicts = true;
 
@@ -104,10 +102,8 @@ int main(int argc, char** argv) {
   for (const ReplayResult& r : exhaustive) exhaustive_events += r.events;
   const auto exhaustive_keys = key_set(cs31::race::distinct_races(exhaustive));
 
-  ExploreOptions opts;
-  opts.workers = workers;
   begin = std::chrono::steady_clock::now();
-  const ExploreResult explored = cs31::race::explore_races(act7, opts);
+  const ExploreResult explored = cs31::race::explore_races(act7);
   const double explored_s = seconds_since(begin);
   equal_verdicts = equal_verdicts && key_set(explored.races) == exhaustive_keys;
 
@@ -149,7 +145,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     const auto scripts = cs31::race::generate_script(row.seed, row.cfg);
     const auto full = cs31::race::replay_all_interleavings(scripts, 200000);
-    const ExploreResult res = cs31::race::explore_races(scripts, opts);
+    const ExploreResult res = cs31::race::explore_races(scripts);
     const bool same = key_set(res.races) == key_set(cs31::race::distinct_races(full));
     equal_verdicts = equal_verdicts && same;
     corpus_exhaustive += full.size();
@@ -170,7 +166,7 @@ int main(int argc, char** argv) {
 
   // (c) the saturated space, budgeted and guided ---------------------------
   const auto monster = monster_script();
-  ExploreOptions budgeted = opts;
+  ExploreOptions budgeted;
   budgeted.max_schedules = 200;
   RaceReport hint;
   hint.variable = "racy";

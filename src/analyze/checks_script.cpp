@@ -4,23 +4,11 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace cs31::analyze {
 
 namespace {
-
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
 
 std::string lockset_text(const std::vector<std::string>& locks) {
   std::string out = "{";
@@ -116,39 +104,39 @@ std::string ConcurSummary::to_json() const {
   for (std::size_t i = 0; i < races.size(); ++i) {
     const StaticRace& r = races[i];
     if (i) out << ',';
-    out << "{\"variable\":" << json_quote(r.variable)
-        << ",\"first\":" << json_quote(r.first)
-        << ",\"second\":" << json_quote(r.second) << '}';
+    out << "{\"variable\":" << common::json_quote(r.variable)
+        << ",\"first\":" << common::json_quote(r.first)
+        << ",\"second\":" << common::json_quote(r.second) << '}';
   }
   out << "],\"deadlock_candidates\":[";
   for (std::size_t i = 0; i < deadlocks.size(); ++i) {
     const StaticDeadlock& d = deadlocks[i];
     if (i) out << ',';
-    out << "{\"kind\":" << json_quote(d.kind) << ",\"resources\":[";
+    out << "{\"kind\":" << common::json_quote(d.kind) << ",\"resources\":[";
     for (std::size_t j = 0; j < d.resources.size(); ++j) {
       if (j) out << ',';
-      out << json_quote(d.resources[j]);
+      out << common::json_quote(d.resources[j]);
     }
     out << "],\"guaranteed\":" << (d.guaranteed ? "true" : "false");
-    if (!d.witness.empty()) out << ",\"witness\":" << json_quote(d.witness);
+    if (!d.witness.empty()) out << ",\"witness\":" << common::json_quote(d.witness);
     out << '}';
   }
   out << "],\"thread_local\":[";
   for (std::size_t i = 0; i < thread_local_vars.size(); ++i) {
     if (i) out << ',';
-    out << json_quote(thread_local_vars[i]);
+    out << common::json_quote(thread_local_vars[i]);
   }
   out << "],\"guarded\":{";
   bool first = true;
   for (const auto& [var, lock] : guarded_vars) {
     if (!first) out << ',';
     first = false;
-    out << json_quote(var) << ':' << json_quote(lock);
+    out << common::json_quote(var) << ':' << common::json_quote(lock);
   }
   out << "},\"pure_guards\":[";
   for (std::size_t i = 0; i < independent_mutexes.size(); ++i) {
     if (i) out << ',';
-    out << json_quote(independent_mutexes[i]);
+    out << common::json_quote(independent_mutexes[i]);
   }
   out << "],\"diagnostics\":" << render_json(diagnostics) << '}';
   return out.str();

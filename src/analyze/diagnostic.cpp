@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace cs31::analyze {
 
 std::string to_string(Severity severity) {
@@ -22,28 +24,6 @@ std::string hex_addr(std::uint32_t addr) {
   char buf[16];
   std::snprintf(buf, sizeof buf, "0x%x", addr);
   return buf;
-}
-
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -64,19 +44,19 @@ std::string Diagnostic::to_string() const {
 
 std::string Diagnostic::to_json() const {
   std::ostringstream out;
-  out << "{\"severity\":" << json_quote(analyze::to_string(severity))
-      << ",\"pass\":" << json_quote(pass);
-  if (!function.empty()) out << ",\"function\":" << json_quote(function);
+  out << "{\"severity\":" << common::json_quote(analyze::to_string(severity))
+      << ",\"pass\":" << common::json_quote(pass);
+  if (!function.empty()) out << ",\"function\":" << common::json_quote(function);
   if (has_addr) {
-    out << ",\"addr\":" << json_quote(hex_addr(addr));
+    out << ",\"addr\":" << common::json_quote(hex_addr(addr));
   } else {
     out << ",\"line\":" << line;
   }
-  out << ",\"message\":" << json_quote(message);
+  out << ",\"message\":" << common::json_quote(message);
   if (!notes.empty()) {
     out << ",\"notes\":[";
     for (std::size_t i = 0; i < notes.size(); ++i) {
-      out << (i ? "," : "") << json_quote(notes[i]);
+      out << (i ? "," : "") << common::json_quote(notes[i]);
     }
     out << ']';
   }

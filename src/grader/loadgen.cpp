@@ -29,8 +29,9 @@ std::string zero_padded(std::size_t n) {
 }
 
 /// The steady mix: cycle kinds so every third submission exercises a
-/// different toolchain path; one Life scenario in six drops the
-/// barrier, so race_found verdicts appear at a steady background rate.
+/// different toolchain path; one submission in six (i % 6 == 5, half of
+/// the Life scenarios) drops the barrier, so race_found verdicts appear
+/// at a steady background rate.
 Submission steady_submission(std::size_t i, std::uint32_t seed) {
   const std::uint32_t variant = static_cast<std::uint32_t>(i) + seed * 7919u;
   Submission s;

@@ -3,13 +3,13 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace cs31::grader {
 
 GraderService::GraderService(Options options) : options_(options) {
   require(options_.workers >= 1, "grader needs at least one worker");
   require(options_.queue_capacity >= 1, "grader queue capacity must be >= 1");
-  ingest_.capacity = options_.queue_capacity;
   workers_.reserve(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w) {
     workers_.push_back(std::make_unique<Worker>(options_.queue_capacity));
@@ -18,14 +18,11 @@ GraderService::GraderService(Options options) : options_(options) {
     Worker* w = worker.get();
     worker->thread = std::thread([this, w] { worker_main(*w); });
   }
-  router_ = std::thread([this] { router_main(); });
 }
 
 GraderService::~GraderService() {
   // Graceful drain, mirroring AnalysisPipeline: closed queues still
   // deliver what they hold, so everything submitted is graded.
-  ingest_.close();
-  if (router_.joinable()) router_.join();
   for (auto& worker : workers_) {
     worker->queue.close();
     if (worker->thread.joinable()) worker->thread.join();
@@ -43,20 +40,12 @@ void GraderService::submit(Submission submission) {
     std::scoped_lock lock(reports_mutex_);
     if (job.seq >= reports_.size()) reports_.resize(job.seq + 1);
   }
-  ingest_.push(std::move(job));
+  Worker& worker = *workers_[job.hash % workers_.size()];
+  worker.queue.push(std::move(job));
 }
 
 void GraderService::submit_all(std::vector<Submission> submissions) {
   for (Submission& s : submissions) submit(std::move(s));
-}
-
-void GraderService::router_main() {
-  Job job;
-  while (ingest_.pop(job)) {
-    workers_[job.hash % workers_.size()]->queue.push(std::move(job));
-    job = Job{};
-    ingest_.done();
-  }
 }
 
 void GraderService::worker_main(Worker& worker) {
@@ -88,9 +77,9 @@ void GraderService::worker_main(Worker& worker) {
 void GraderService::finish(const Job& job, const Verdict& verdict) {
   // Envelope first (who/what/which bytes), then the verdict's own
   // fields spliced in — one line, stable key order.
-  std::string line = "{\"id\":" + json_quote(job.submission.id);
-  line += ",\"kind\":" + json_quote(to_string(job.submission.kind));
-  line += ",\"hash\":" + json_quote(hash_hex(job.hash));
+  std::string line = "{\"id\":" + common::json_quote(job.submission.id);
+  line += ",\"kind\":" + common::json_quote(to_string(job.submission.kind));
+  line += ",\"hash\":" + common::json_quote(hash_hex(job.hash));
   line += ",";
   line += verdict.to_json().substr(1);  // drop the verdict's '{'
   std::scoped_lock lock(reports_mutex_);
@@ -99,11 +88,9 @@ void GraderService::finish(const Job& job, const Verdict& verdict) {
 }
 
 void GraderService::wait_idle() {
-  // Stage order matters (same proof shape as the pipeline): once the
-  // ingest queue is drained the router has routed every job, so
-  // draining each worker queue afterwards proves every submission has
-  // its report written.
-  ingest_.wait_drained();
+  // submit() pushes before it returns, so once every worker queue is
+  // drained (empty, worker idle) every submission made before this call
+  // has its report written.
   for (auto& worker : workers_) worker->queue.wait_drained();
 }
 
@@ -130,10 +117,6 @@ GraderService::Stats GraderService::stats() const {
   {
     std::scoped_lock lock(reports_mutex_);
     stats.graded = graded_;
-  }
-  {
-    std::scoped_lock lock(ingest_.mutex);
-    stats.publish_waits = ingest_.waits;
   }
   for (const auto& worker : workers_) {
     std::scoped_lock lock(worker->queue.mutex);

@@ -1,18 +1,17 @@
 // The batch grading service: the course toolchain as a high-throughput
-// backend. Topology (the same bounded-MPSC/router/shard architecture
-// as trace::AnalysisPipeline, on the shared common::BoundedQueue):
+// backend. Topology (N bounded worker queues, the shared
+// common::BoundedQueue, and no router thread):
 //
-//   submit  — stamps each submission with an arrival sequence number
-//             and its content hash, then pushes it onto one bounded
-//             ingest queue (MPSC: any number of front-end threads).
-//             A full queue BLOCKS the submitter — backpressure, so a
-//             burst can never balloon memory.
-//   route   — one router thread pops arrivals FIFO and routes each to
-//             worker `hash % workers`. Routing by content hash (not
-//             round-robin) means identical bodies always land on the
-//             same worker, so a duplicate storm serializes behind one
-//             toolchain run on one worker while every other worker
-//             keeps grading distinct work.
+//   submit  — on the submitting thread (any number of them): stamps the
+//             submission with an arrival sequence number and its content
+//             hash, reserves its report slot, and pushes it straight
+//             onto worker `hash % workers`'s bounded queue. Routing by
+//             content hash (not round-robin) means identical bodies
+//             always land on the same worker, so a duplicate storm
+//             serializes behind one toolchain run on one worker while
+//             every other worker keeps grading distinct work. A full
+//             queue BLOCKS the submitter — backpressure, so a burst can
+//             never balloon memory.
 //   grade   — N workers, each popping its own bounded queue, grading
 //             through the shared VerdictCache (one toolchain run per
 //             distinct hash, service-wide), and writing the finished
@@ -50,7 +49,7 @@ class GraderService {
  public:
   struct Options {
     std::size_t workers = 2;          ///< grading workers (>= 1)
-    std::size_t queue_capacity = 64;  ///< ingest + per-worker queue bound (>= 1)
+    std::size_t queue_capacity = 64;  ///< per-worker queue bound (>= 1)
     bool use_cache = true;            ///< content-hash verdict cache
     ToolchainLimits limits;           ///< per-execution resource budget
   };
@@ -60,7 +59,7 @@ class GraderService {
     std::uint64_t graded = 0;
     std::uint64_t toolchain_runs = 0;  ///< actual compiles/executions (≤ graded when caching)
     VerdictCache::Stats cache;
-    std::uint64_t publish_waits = 0;   ///< blocks on full ingest/worker queues
+    std::uint64_t publish_waits = 0;   ///< submit() blocks on full worker queues
     std::vector<std::uint64_t> graded_per_worker;
   };
 
@@ -71,7 +70,8 @@ class GraderService {
   GraderService(const GraderService&) = delete;
   GraderService& operator=(const GraderService&) = delete;
 
-  /// Enqueue one submission. Blocks while the ingest queue is full.
+  /// Enqueue one submission on its worker's queue. Blocks while that
+  /// queue is full.
   void submit(Submission submission);
 
   /// Convenience: submit a whole batch in order.
@@ -105,14 +105,11 @@ class GraderService {
     std::uint64_t graded = 0;  ///< worker-thread private until idle
   };
 
-  void router_main();
   void worker_main(Worker& worker);
   void finish(const Job& job, const Verdict& verdict);
 
   const Options options_;
   VerdictCache cache_;
-  common::BoundedQueue<Job> ingest_;
-  std::thread router_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   std::atomic<std::uint64_t> next_seq_{0};

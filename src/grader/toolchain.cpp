@@ -1,6 +1,5 @@
 #include "grader/toolchain.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "analyze/checks_isa.hpp"
@@ -8,6 +7,7 @@
 #include "ccomp/codegen.hpp"
 #include "ccomp/driver.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "isa/machine.hpp"
 #include "life/traced.hpp"
 #include "race/explore.hpp"
@@ -294,30 +294,8 @@ Verdict run_toolchain(const Submission& submission, const ToolchainLimits& limit
   throw Error("unknown submission kind");
 }
 
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 std::string Verdict::to_json() const {
-  std::string out = "{\"status\":" + json_quote(status);
+  std::string out = "{\"status\":" + common::json_quote(status);
   out += ",\"score\":" + std::to_string(score);
   out += ",\"result\":" + std::to_string(result);
   out += ",\"instructions\":" + std::to_string(instructions);
@@ -326,7 +304,7 @@ std::string Verdict::to_json() const {
   out += ",\"notes\":[";
   for (std::size_t i = 0; i < notes.size(); ++i) {
     if (i > 0) out += ',';
-    out += json_quote(notes[i]);
+    out += common::json_quote(notes[i]);
   }
   out += "]}";
   return out;

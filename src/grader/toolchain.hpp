@@ -75,8 +75,4 @@ struct Verdict {
 [[nodiscard]] Verdict run_toolchain(const Submission& submission,
                                     const ToolchainLimits& limits = {});
 
-/// JSON-string escape shared by the report paths (quotes + control
-/// characters, matching bench_json's encoding).
-[[nodiscard]] std::string json_quote(const std::string& text);
-
 }  // namespace cs31::grader

@@ -1,13 +1,12 @@
 #include "race/explore.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "common/bounded_queue.hpp"
 #include "common/error.hpp"
 #include "os/interleave.hpp"
 
@@ -17,8 +16,8 @@ namespace {
 // ---------------------------------------------------------------------
 // Parsed op model. Mirrors replay.cpp's grammar exactly; parsing happens
 // once in the Explorer constructor so the walk and the dependence checks
-// never touch strings, and malformed scripts fail before any thread is
-// spawned.
+// never touch strings, and malformed scripts fail before the walk
+// starts.
 // ---------------------------------------------------------------------
 
 enum class Verb : std::uint8_t { Read, Write, Lock, Unlock, Send, Recv, Barrier };
@@ -93,27 +92,24 @@ POp parse_op(const std::string& text, OpInterner& vars, OpInterner& mutexes,
   return op;
 }
 
-// ---------------------------------------------------------------------
-// Work items between the sequential walk and the replay workers.
-// ---------------------------------------------------------------------
+/// Emissions a replay result trails the walk before it folds into the
+/// result and the guidance: schedule j's result is folded just before
+/// schedule j + kFoldDelay + 1 is emitted, so the hint set at emission
+/// k is exactly f(results 0..k-kFoldDelay-1). Replay itself runs inline,
+/// so nothing forces a delay: 32 is the settle window of the worker pool
+/// replay used to run on, and keeping it keeps every ExploreResult
+/// byte-identical to that pool's output (the golden fingerprints in
+/// race_explore_test pin this).
+constexpr std::size_t kFoldDelay = 32;
 
+/// One replayed schedule, waiting to be folded into the result.
 struct ScheduleResult {
   std::vector<RaceReport> races;
   std::uint64_t events = 0;
 };
 
-struct Batch {
-  std::uint64_t first_index = 0;
-  std::vector<std::vector<std::string>> schedules;
-};
-
-struct BatchResult {
-  std::uint64_t first_index = 0;
-  std::vector<ScheduleResult> items;
-};
-
 // ---------------------------------------------------------------------
-// The engine: one run() owns the walk, the worker pool, and the merge.
+// The engine: one run() owns the walk, the replays, and the fold.
 // ---------------------------------------------------------------------
 
 class Engine {
@@ -127,16 +123,7 @@ class Engine {
         options_(options),
         independent_vars_(std::move(independent_vars)),
         independent_mutexes_(std::move(independent_mutexes)),
-        threads_(ops.size()),
-        work_(std::max<std::size_t>(1, options.queue_capacity)),
-        // Sized to hold every result the settle window allows in flight
-        // at once — counted in SCHEDULES, not batches, because the
-        // settle loop can flush partial (down to single-schedule)
-        // batches. A worker can therefore never block pushing a result
-        // while the walk blocks pushing work, the one cycle that could
-        // deadlock this topology.
-        results_(options.settle_window + options.queue_capacity +
-                 std::max<std::size_t>(1, options.workers) + 4) {
+        threads_(ops.size()) {
     result_.interleavings_total = total;
     result_.total_saturated = total_saturated;
     pos_.assign(threads_, 0);
@@ -152,32 +139,9 @@ class Engine {
   }
 
   ExploreResult run() {
-    const std::size_t worker_count = std::max<std::size_t>(1, options_.workers);
-    std::vector<std::thread> pool;
-    pool.reserve(worker_count);
-    for (std::size_t w = 0; w < worker_count; ++w) {
-      pool.emplace_back([this] { worker_main(); });
-    }
-
-    // Always close + join, even when the walk throws (a worker failure
-    // closes the result queue, which surfaces in the walk's merge as an
-    // Error) — a dangling std::thread would terminate the process.
-    std::exception_ptr walk_error;
-    try {
-      explore(std::set<std::uint32_t>{});
-      flush_batch();
-    } catch (...) {
-      walk_error = std::current_exception();
-    }
-    work_.close();
-    for (auto& t : pool) t.join();
-    {
-      std::scoped_lock lock(error_mutex_);
-      require(worker_error_.empty(), "explore worker failed: " + worker_error_);
-    }
-    if (walk_error) std::rethrow_exception(walk_error);
-    // Everything is pushed; drain the tail strictly in emission order.
-    while (merged_ < emitted_) merge_next();
+    explore(std::set<std::uint32_t>{});
+    // The walk is done; fold the tail strictly in emission order.
+    while (!pending_.empty()) merge_next();
 
     result_.schedules_replayed = emitted_;
     result_.complete = !truncated_;
@@ -470,11 +434,10 @@ class Engine {
     frames_.pop_back();
   }
 
-  // --- emission, batching, and the deterministic merge ---
+  // --- emission, replay, and the delayed fold ---
 
   /// Record the current (maximal, stuck) state once per position
-  /// vector. Runs in the sequential walk, so discovery order — and the
-  /// whole deadlock list — is worker-count independent.
+  /// vector, in walk discovery order.
   void record_deadlock() {
     ++result_.deadlocked_schedules;
     std::string key;
@@ -515,50 +478,24 @@ class Engine {
     }
 
     // Determinism contract: before emitting schedule k, exactly the
-    // results of schedules 0..k-window-1 are merged (never more, never
-    // fewer), so the hint set steering every later decision is a pure
-    // function of the emission order.
-    while (emitted_ - merged_ > options_.settle_window) {
-      // Flush the local buffer only when the next merge target sits in
-      // it (everything older is already with the workers) — keeps
-      // batches full-sized in the steady state.
-      if (!batch_.schedules.empty() && merged_ >= batch_.first_index) flush_batch();
-      merge_next();
-    }
+    // results of schedules 0..k-kFoldDelay-1 are merged (never more,
+    // never fewer), so the hint set steering every later decision is a
+    // pure function of the emission order.
+    while (pending_.size() > kFoldDelay) merge_next();
 
     std::vector<std::string> schedule;
     schedule.reserve(executed_.size());
     for (const Event& ev : executed_) schedule.push_back(ev.op->text);
-    if (batch_.schedules.empty()) batch_.first_index = emitted_;
-    batch_.schedules.push_back(std::move(schedule));
+    ReplayResult replayed = replay(schedule, ReplayOptions{options_.model_blocking});
+    pending_.push_back({std::move(replayed.races), replayed.events});
     ++emitted_;
     events_emitted_ += executed_.size();
-    if (batch_.schedules.size() >= std::max<std::size_t>(1, options_.batch)) {
-      flush_batch();
-    }
   }
 
-  void flush_batch() {
-    if (batch_.schedules.empty()) return;
-    work_.push(std::move(batch_));
-    batch_ = Batch{};
-  }
-
-  /// Merge the next emission-ordered result, blocking on the workers if
-  /// it has not arrived yet.
+  /// Fold the oldest pending result into the result and the guidance.
   void merge_next() {
-    while (reorder_.count(merged_) == 0) {
-      BatchResult r;
-      const bool ok = results_.pop(r);
-      require(ok, "explore: result stream closed before all schedules merged");
-      for (std::size_t i = 0; i < r.items.size(); ++i) {
-        reorder_.emplace(r.first_index + i, std::move(r.items[i]));
-      }
-      results_.done();
-    }
-    const auto it = reorder_.find(merged_);
-    ScheduleResult res = std::move(it->second);
-    reorder_.erase(it);
+    ScheduleResult res = std::move(pending_.front());
+    pending_.pop_front();
 
     result_.events_replayed += res.events;
     if (!res.races.empty()) {
@@ -583,37 +520,6 @@ class Engine {
     hint_pairs_.emplace_back(a, b);
   }
 
-  // --- the replay workers ---
-
-  void worker_main() {
-    Batch batch;
-    while (work_.pop(batch)) {
-      try {
-        BatchResult out;
-        out.first_index = batch.first_index;
-        out.items.reserve(batch.schedules.size());
-        for (const auto& schedule : batch.schedules) {
-          ReplayResult rr =
-              replay(schedule, ReplayOptions{options_.model_blocking});
-          out.items.push_back({std::move(rr.races), rr.events});
-        }
-        results_.push(std::move(out));
-        work_.done();
-      } catch (const std::exception& e) {
-        // Scripts are prevalidated, so this is a bug, not user error.
-        // Record it, close the result stream so the walk's merge stops
-        // waiting (its pop then fails a require), and bail.
-        {
-          std::scoped_lock lock(error_mutex_);
-          if (worker_error_.empty()) worker_error_ = e.what();
-        }
-        results_.close();
-        work_.done();
-        return;
-      }
-    }
-  }
-
   const std::vector<std::vector<POp>>& ops_;
   const ExploreOptions& options_;
   std::set<std::uint32_t> independent_vars_;     ///< pruned var ids (dep())
@@ -636,22 +542,16 @@ class Engine {
   std::vector<std::size_t> arrivals_;       ///< barrier arrivals per thread
   std::set<std::string> deadlock_seen_;     ///< position-vector keys
 
-  // Guidance state (mutated only at deterministic merge points).
+  // Guidance state (mutated only at deterministic fold points).
   std::set<std::string> hint_labels_;
   std::vector<std::pair<std::string, std::string>> hint_pairs_;
 
-  // Emission / merge state.
+  // Emission / fold state.
   std::uint64_t emitted_ = 0;
   std::uint64_t events_emitted_ = 0;
   std::uint64_t merged_ = 0;
-  Batch batch_;
-  std::map<std::uint64_t, ScheduleResult> reorder_;
+  std::deque<ScheduleResult> pending_;  ///< replayed, not yet folded (<= kFoldDelay + 1)
   std::set<std::string> seen_;
-
-  common::BoundedQueue<Batch> work_;
-  common::BoundedQueue<BatchResult> results_;
-  std::mutex error_mutex_;
-  std::string worker_error_;
 
   ExploreResult result_;
 };
@@ -675,7 +575,7 @@ Explorer::Explorer(std::vector<std::vector<std::string>> scripts, ExploreOptions
           "(lockset-based independence is unsound without real mutual exclusion)");
   // Validate eagerly: parse every op and check per-thread lock
   // discipline (an unlock with no program-order lock would make the
-  // detector throw mid-replay inside a worker).
+  // detector throw mid-exploration).
   OpInterner vars, mutexes, channels;
   const auto tagged = tag_threads(scripts_);
   for (const auto& script : tagged) {

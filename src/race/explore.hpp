@@ -1,5 +1,5 @@
-// Detector-guided DPOR schedule exploration — the pruned, prioritized,
-// parallel replacement for exhaustively replaying os::all_interleavings.
+// Detector-guided DPOR schedule exploration — the pruned, prioritized
+// replacement for exhaustively replaying os::all_interleavings.
 //
 // The fused homework ("identify the possible outputs" × "find the data
 // race") used to replay every interleaving of the per-thread op scripts
@@ -32,20 +32,18 @@
 // op labels a reported site pair, or lead toward one, are explored
 // first, so a budgeted re-run confirms known races in a handful of
 // schedules. New discoveries re-prioritize the remaining frontier
-// mid-run (after a fixed settle window; see the determinism contract).
+// mid-run (after a fixed fold delay; see the determinism contract).
 //
-// Parallel replay, deterministic output: the DPOR tree walk itself is
-// sequential — a subtree's exploration can add backtrack points at ANY
-// ancestor, so subtrees are not independent units of tree growth — but
-// the walk is the cheap part (position vectors + clock joins). The
-// expensive part, replaying each emitted schedule through a fresh
-// FastTrack detector, fans out in batches over a shared
-// common::BoundedQueue to N workers, and results merge strictly by
-// emission index (the PR 4/PR 6 arrival-index pattern). Guidance
-// feedback folds in only once a result is merged, and merging is
-// clamped to a fixed settle window behind emission, so the hint set at
-// every decision point — and therefore every byte of the output — is
-// identical across {1,2,4,8} workers, budgeted or not.
+// Inline replay, deterministic output: the DPOR tree walk is sequential
+// — a subtree's exploration can add backtrack points at ANY ancestor, so
+// subtrees are not independent units of work — and the walk replays
+// each schedule it emits through a fresh FastTrack detector on the
+// calling thread. An exploration starts no thread: its callers (grader
+// workers, demos) already run one exploration per thread. A replay's
+// result folds into the result and the guidance a fixed 32 emissions
+// after its schedule was emitted, so the hint set at every decision
+// point — and therefore every byte of the output — is a pure function
+// of the scripts and options.
 //
 // Budgeted mode: `max_schedules` / `max_events` replace the exhaustive
 // path's hard multinomial throw. When a budget binds, the result says
@@ -63,8 +61,6 @@
 namespace cs31::race {
 
 struct ExploreOptions {
-  std::size_t workers = 1;  ///< replay worker threads (the walk stays sequential)
-
   /// Budgets; 0 = unbounded. Replaces replay_all_interleavings' throw:
   /// the explorer stops emitting when a budget binds and reports
   /// partial coverage instead.
@@ -76,17 +72,8 @@ struct ExploreOptions {
   std::vector<RaceReport> hints;
 
   /// Fold newly discovered races into the priority mid-run (after the
-  /// settle window). Off = only the seeded hints steer.
+  /// fold delay). Off = only the seeded hints steer.
   bool reprioritize_on_discovery = true;
-
-  std::size_t batch = 8;           ///< schedules per worker claim
-  std::size_t queue_capacity = 4;  ///< work-queue capacity, in batches
-
-  /// Emissions a replay result may trail the walk before the walk
-  /// blocks on it. Fixed (worker-count-independent) so the hint set at
-  /// emission k is always exactly f(results 0..k-window-1) — the
-  /// determinism contract.
-  std::size_t settle_window = 32;
 
   /// Model real blocking semantics (ReplayOptions::model_blocking) in
   /// the walk: a lock on a held mutex, a recv on an empty channel, and
@@ -123,7 +110,7 @@ struct ExploreResult {
   static constexpr std::uint64_t kNoRace = ~std::uint64_t{0};
 
   /// Distinct races (one per race_pair_key), first-seen in emission
-  /// order — byte-identical across worker counts, and set-identical to
+  /// order — set-identical to
   /// distinct_races(replay_all_interleavings(...)) when complete.
   std::vector<RaceReport> races;
 
@@ -142,10 +129,9 @@ struct ExploreResult {
   std::uint64_t backtrack_points = 0;   ///< race-analysis additions
 
   /// Blocking mode only (always empty / 0 otherwise): the distinct
-  /// stuck states the walk reached (deduplicated by position vector,
-  /// deterministic across worker counts — they are found by the
-  /// sequential walk, not the replay pool) and how many emitted
-  /// schedules ended stuck rather than complete.
+  /// stuck states the walk reached (deduplicated by position vector, in
+  /// discovery order) and how many emitted schedules ended stuck rather
+  /// than complete.
   std::vector<DeadlockState> deadlocks;
   std::uint64_t deadlocked_schedules = 0;
 
@@ -160,14 +146,14 @@ struct ExploreResult {
 /// constructor parses and validates every op up front — malformed ops,
 /// a release without a program-order acquire, or independent_vars
 /// without model_blocking (the pruning is unsound when critical
-/// sections can overlap) throw here, never from a worker mid-run.
+/// sections can overlap) throw here, never mid-run.
 class Explorer {
  public:
   explicit Explorer(std::vector<std::vector<std::string>> scripts,
                     ExploreOptions options = {});
 
-  /// Run one exploration. Deterministic: same scripts + options (modulo
-  /// `workers`, `batch`, `queue_capacity`) give byte-identical results.
+  /// Run one exploration on the calling thread. Deterministic: same
+  /// scripts + options give byte-identical results.
   [[nodiscard]] ExploreResult run();
 
   [[nodiscard]] const ExploreOptions& options() const { return options_; }

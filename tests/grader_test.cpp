@@ -13,6 +13,7 @@
 
 #include "ccomp/codegen.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "grader/cache.hpp"
 #include "grader/loadgen.hpp"
 #include "grader/service.hpp"
@@ -25,6 +26,16 @@ namespace {
 /// Fast deterministic budget for tests: poison spins cost ~20k emulated
 /// instructions instead of the service default 2M.
 ToolchainLimits test_limits() { return ToolchainLimits{20'000, 10.0}; }
+
+/// FNV-1a 64 of `text`: a compact golden for long report streams.
+std::uint64_t digest(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 // --- content hash ------------------------------------------------------
 
@@ -320,7 +331,7 @@ TEST(Service, StreamCoversEverySubmissionInArrivalOrder) {
   const auto lines = service.report_lines();
   ASSERT_EQ(lines.size(), plan.submissions.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_EQ(lines[i].find("{\"id\":" + json_quote(plan.submissions[i].id)), 0u)
+    EXPECT_EQ(lines[i].find("{\"id\":" + common::json_quote(plan.submissions[i].id)), 0u)
         << "line " << i << " out of arrival order: " << lines[i];
   }
   const auto stats = service.stats();
@@ -408,9 +419,12 @@ TEST(Service, ScriptReviewBatchGradesEveryVerdictKind) {
   // The concurrency homework batch end to end: clean, racy, deadlocking,
   // and malformed scripts all come back with the right verdicts, and
   // the stream stays byte-identical across worker counts like every
-  // other scenario.
+  // other scenario — and to the golden digest recorded when the
+  // Explorer still replayed on its own worker pool.
   const LoadPlan plan = make_scenario("script_review", 24, 6);
   const std::string reference = grade_stream(plan, test_options(1));
+  EXPECT_EQ(reference.size(), 11228u);
+  EXPECT_EQ(digest(reference), 0xed46901b24966932ull);
   EXPECT_EQ(grade_stream(plan, test_options(4)), reference) << "4 workers diverged";
   GraderService service(test_options(4));
   service.submit_all(plan.submissions);
@@ -440,6 +454,42 @@ TEST(Service, SingleWorkerCapacityOneBackpressures) {
   service.submit_all(std::move(batch));
   service.wait_idle();
   EXPECT_EQ(service.stats().graded, 16u);
+}
+
+TEST(Service, ConcurrentSubmittersEachGetOneReport) {
+  // submit() routes on the calling thread, so four submitters push
+  // straight into the (capacity-2, so often full) worker queues at once.
+  const LoadPlan plan = make_scenario("steady", 32, 11);
+  constexpr std::size_t kSubmitters = 4;
+  GraderService service(test_options(2, /*capacity=*/2));
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&service, &plan, t] {
+      for (std::size_t i = t; i < plan.submissions.size(); i += kSubmitters) {
+        service.submit(plan.submissions[i]);
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  service.wait_idle();
+
+  const auto lines = service.report_lines();
+  ASSERT_EQ(lines.size(), plan.submissions.size());
+  std::multiset<std::string> ids;
+  for (const std::string& line : lines) {
+    const std::size_t end = line.find("\",\"kind\"");
+    ASSERT_NE(end, std::string::npos) << line;
+    ids.insert(line.substr(0, end + 1));
+  }
+  for (const Submission& s : plan.submissions) {
+    EXPECT_EQ(ids.count("{\"id\":" + common::json_quote(s.id)), 1u) << s.id;
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.submitted, plan.submissions.size());
+  EXPECT_EQ(stats.graded, stats.submitted);
+  std::uint64_t per_worker_total = 0;
+  for (const std::uint64_t graded : stats.graded_per_worker) per_worker_total += graded;
+  EXPECT_EQ(per_worker_total, stats.graded);
 }
 
 TEST(Service, BurstyPlanGradesEveryBurst) {
