@@ -8,6 +8,8 @@
 
 #include "bench_json.hpp"
 #include "ccomp/codegen.hpp"
+#include "ccomp/optimizer.hpp"
+#include "ccomp/parser.hpp"
 #include "isa/machine.hpp"
 
 namespace {
@@ -20,22 +22,20 @@ struct Case {
   std::vector<std::int32_t> args;
 };
 
+cc::ProgramAst parsed(const std::string& source, bool optimize) {
+  cc::ProgramAst program = cc::parse(source);
+  if (optimize) cc::optimize(program);
+  return program;
+}
+
 std::size_t static_count(const std::string& source, bool optimize) {
-  return isa::assemble(cc::compile_to_assembly(source, optimize)).instruction_count();
+  return isa::assemble(cc::generate(parsed(source, optimize))).instruction_count();
 }
 
 std::size_t dynamic_count(const std::string& source, const std::vector<std::int32_t>& args,
                           bool optimize) {
-  // Build with entry stub by reusing run paths: recompile with the flag
-  // and execute, counting instructions.
   isa::Machine machine;
-  const std::string fn_asm = cc::compile_to_assembly(source, optimize);
-  std::string stub = "_start:\n";
-  for (auto it = args.rbegin(); it != args.rend(); ++it) {
-    stub += "    pushl $" + std::to_string(*it) + "\n";
-  }
-  stub += "    call main\n    hlt\n";
-  machine.load(isa::assemble(fn_asm + stub));
+  machine.load(cc::compile_with_entry(parsed(source, optimize), args));
   machine.run(5'000'000);
   return machine.instructions_executed();
 }

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
 
   // (b) ISA lint, over a maze and over the compiled corpus.
   const isa::Maze maze(kMazeFloors);
-  const isa::Image compiled = cc::compile(source);
+  const isa::Image compiled = isa::assemble(cc::generate(cc::parse(source)));
   const std::size_t instr_total = maze.image().instruction_count() + compiled.instruction_count();
   std::size_t isa_findings = 0;
   const auto isa_start = std::chrono::steady_clock::now();

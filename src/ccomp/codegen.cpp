@@ -1,5 +1,6 @@
 #include "ccomp/codegen.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -37,7 +38,7 @@ class Generator {
 
  private:
   [[noreturn]] void fail(int line, const std::string& what) const {
-    throw Error("line " + std::to_string(line) + ": " + what);
+    throw CodegenError("line " + std::to_string(line) + ": " + what);
   }
 
   std::string fresh_label(const std::string& stem) {
@@ -264,16 +265,17 @@ class Generator {
     // -4(%ebp), -8(%ebp), ... (function-scope, classic C89 style).
     offsets_.clear();
     for (std::size_t i = 0; i < fn.params.size(); ++i) {
-      require(!offsets_.contains(fn.params[i]),
-              "line " + std::to_string(fn.line) + ": duplicate parameter '" +
-                  fn.params[i] + "'");
+      if (offsets_.contains(fn.params[i])) {
+        fail(fn.line, "duplicate parameter '" + fn.params[i] + "'");
+      }
       offsets_[fn.params[i]] = 8 + 4 * static_cast<int>(i);
     }
     std::vector<std::string> locals;
     for (const StmtPtr& s : fn.body) collect_locals(*s, locals);
     for (std::size_t i = 0; i < locals.size(); ++i) {
-      require(!offsets_.contains(locals[i]),
-              "in '" + fn.name + "': duplicate variable '" + locals[i] + "'");
+      if (offsets_.contains(locals[i])) {
+        throw CodegenError("in '" + fn.name + "': duplicate variable '" + locals[i] + "'");
+      }
       offsets_[locals[i]] = -4 * static_cast<int>(i + 1);
     }
 
@@ -312,54 +314,37 @@ class Generator {
 
 std::string generate(const ProgramAst& program) { return Generator(program).run(); }
 
-std::string compile_to_assembly(const std::string& source, bool optimize_first) {
-  ProgramAst program = parse(source);
-  if (optimize_first) optimize(program);
-  return generate(program);
-}
-
-isa::Image compile(const std::string& source) {
-  return isa::assemble(compile_to_assembly(source));
-}
-
-namespace {
-
-isa::Image compile_with_entry_impl(const std::string& source,
-                                   const std::vector<std::int32_t>& args,
-                                   bool optimize_first) {
-  ProgramAst program = parse(source);
-  if (optimize_first) optimize(program);
-  const Function* main_fn = nullptr;
-  for (const Function& fn : program.functions) {
-    if (fn.name == "main") main_fn = &fn;
-  }
-  require(main_fn != nullptr, "program has no main()");
+isa::Image compile_with_entry(const ProgramAst& program,
+                              const std::vector<std::int32_t>& args) {
+  // Generate first: a codegen error wins over the main/arity checks.
+  std::string text = generate(program);
+  const auto main_fn = std::find_if(program.functions.begin(), program.functions.end(),
+                                    [](const Function& fn) { return fn.name == "main"; });
+  require(main_fn != program.functions.end(), "program has no main()");
   require(main_fn->params.size() == args.size(),
           "main() expects " + std::to_string(main_fn->params.size()) +
               " argument(s), got " + std::to_string(args.size()));
 
   // A _start stub pushes the arguments and calls main, so main's frame
   // looks exactly like any other callee's.
-  std::ostringstream stub;
-  stub << "_start:\n";
+  text += "_start:\n";
   for (auto it = args.rbegin(); it != args.rend(); ++it) {
-    stub << "    pushl $" << *it << "\n";
+    text += "    pushl $" + std::to_string(*it) + "\n";
   }
-  stub << "    call main\n    hlt\n";
-  return isa::assemble(generate(program) + stub.str());
+  return isa::assemble(text + "    call main\n    hlt\n");
 }
-
-}  // namespace
 
 isa::Image compile_with_entry(const std::string& source,
                               const std::vector<std::int32_t>& args) {
-  return compile_with_entry_impl(source, args, false);
+  return compile_with_entry(parse(source), args);
 }
 
 std::int32_t run_mini_c(const std::string& source, const std::vector<std::int32_t>& args,
                         bool optimize_first) {
+  ProgramAst program = parse(source);
+  if (optimize_first) optimize(program);
   isa::Machine machine;
-  machine.load(compile_with_entry_impl(source, args, optimize_first));
+  machine.load(compile_with_entry(program, args));
   machine.run(5'000'000);
   return static_cast<std::int32_t>(machine.reg(isa::Reg::Eax));
 }

@@ -3,6 +3,8 @@
 // write C, the compiler lowers it to the stack-frame discipline they
 // traced by hand (pushl %ebp / movl %esp, %ebp / locals at negative
 // %ebp offsets / cdecl argument passing), and the Machine executes it.
+// Callers that also lint or optimize do so on the same AST first, so
+// each body is parsed once (ccomp/driver.hpp, grader/toolchain.cpp).
 #pragma once
 
 #include <cstdint>
@@ -10,33 +12,34 @@
 #include <vector>
 
 #include "ccomp/ast.hpp"
+#include "common/error.hpp"
 #include "isa/assembler.hpp"
 
 namespace cs31::cc {
 
-/// Lower a parsed program to assembly text. Throws cs31::Error on
-/// semantic errors: undeclared/duplicate variables, unknown functions,
-/// arity mismatches.
+/// What generate() throws for semantic errors: undeclared/duplicate
+/// variables, unknown functions, arity mismatches.
+struct CodegenError : Error {
+  using Error::Error;
+};
+
+/// Lower a parsed program to assembly text. Throws CodegenError.
 [[nodiscard]] std::string generate(const ProgramAst& program);
 
-/// Parse + lower in one step; `optimize_first` runs the optimizer
-/// passes (ccomp/optimizer.hpp) before code generation.
-[[nodiscard]] std::string compile_to_assembly(const std::string& source,
-                                              bool optimize_first = false);
+/// Generate `program`, check that main takes `args.size()` parameters,
+/// and assemble the text plus a `_start` stub that pushes `args` and
+/// calls main — load it into any Machine to run the program under a
+/// debugger or with memory tracing. The only code that writes the stub.
+/// Throws cs31::Error, a codegen error winning over a missing main.
+[[nodiscard]] isa::Image compile_with_entry(const ProgramAst& program,
+                                            const std::vector<std::int32_t>& args);
 
-/// Compile and assemble to a loadable image.
-[[nodiscard]] isa::Image compile(const std::string& source);
-
-/// Compile with a generated `_start` stub that pushes `args` and calls
-/// main — load this into any Machine to run the program under a
-/// debugger or with memory tracing. Throws when main is missing or the
-/// argument count mismatches.
+/// compile_with_entry(parse(source), args).
 [[nodiscard]] isa::Image compile_with_entry(const std::string& source,
                                             const std::vector<std::int32_t>& args);
 
-/// Compile, load, call main(args...), and return its result — the
-/// "compile and run" loop of Lab 4. Throws cs31::Error when main is
-/// missing or the argument count mismatches main's parameters.
+/// Parse, optionally optimize, compile with the entry stub, run, and
+/// return main's result — the "compile and run" loop of Lab 4.
 [[nodiscard]] std::int32_t run_mini_c(const std::string& source,
                                       const std::vector<std::int32_t>& args = {},
                                       bool optimize_first = false);

@@ -6,7 +6,9 @@
 // at what the student wrote, not at what constant folding left behind.
 // By default findings ride along in the result as warnings; strict mode
 // (`werror`) turns any warning-or-worse finding into a compile error,
-// the way the course's build flags treat -Wall.
+// the way the course's build flags treat -Wall. The image has no
+// `_start` stub: to run a body, hand one parsed AST to
+// analyze::analyze_program and cc::compile_with_entry, as the grader does.
 #pragma once
 
 #include <string>

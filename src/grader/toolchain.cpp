@@ -1,11 +1,13 @@
 #include "grader/toolchain.hpp"
 
 #include <sstream>
+#include <utility>
 
+#include "analyze/checks_c.hpp"
 #include "analyze/checks_isa.hpp"
 #include "analyze/checks_script.hpp"
 #include "ccomp/codegen.hpp"
-#include "ccomp/driver.hpp"
+#include "ccomp/parser.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "isa/machine.hpp"
@@ -41,10 +43,12 @@ std::vector<std::int32_t> parse_args_directive(const std::string& body) {
   return {};
 }
 
-/// Run a loaded machine under the budget and fill the execution half of
-/// the verdict. `findings` is the lint count already in `notes`.
-void execute(isa::Machine& machine, const ToolchainLimits& limits, std::size_t findings,
-             Verdict& verdict) {
+/// Load `image`, run it under the budget and fill the execution half
+/// of the verdict; the notes already in it are the lint findings.
+Verdict execute(const isa::Image& image, const ToolchainLimits& limits, Verdict verdict) {
+  isa::Machine machine;
+  machine.load(image);
+  const std::size_t findings = verdict.notes.size();
   try {
     const auto outcome =
         machine.run_limited({limits.max_instructions, limits.max_seconds});
@@ -66,33 +70,30 @@ void execute(isa::Machine& machine, const ToolchainLimits& limits, std::size_t f
     verdict.score = 10;
     verdict.notes.push_back(e.what());
   }
+  return verdict;
 }
 
 Verdict grade_mini_c(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
-  std::vector<std::int32_t> args = parse_args_directive(body);
   isa::Image image;
   try {
-    // The pipeline's analyze stage produces the lint findings; the
-    // entry-stub compile makes the image runnable (push args, call
-    // main). Both parse the same body, so diagnostics always describe
-    // exactly what runs.
-    cc::PipelineResult compiled = cc::compile_pipeline(body);
-    for (const analyze::Diagnostic& d : compiled.diagnostics) {
+    // One AST feeds the lint notes and the entry image, so the
+    // diagnostics always describe exactly what runs.
+    const cc::ProgramAst ast = cc::parse(body);
+    for (const analyze::Diagnostic& d : analyze::analyze_program(ast)) {
       verdict.notes.push_back(d.to_string());
     }
-    image = cc::compile_with_entry(body, args);
+    image = cc::compile_with_entry(ast, parse_args_directive(body));
   } catch (const Error& e) {
+    // A body codegen rejects reports the error alone; one that lowers
+    // but cannot start (no main, wrong arity) keeps its lint notes.
+    if (dynamic_cast<const cc::CodegenError*>(&e) != nullptr) verdict.notes.clear();
     verdict.status = "compile_error";
     verdict.score = 0;
     verdict.notes.push_back(e.what());
     return verdict;
   }
-  const std::size_t findings = verdict.notes.size();
-  isa::Machine machine;
-  machine.load(image);
-  execute(machine, limits, findings, verdict);
-  return verdict;
+  return execute(image, limits, std::move(verdict));
 }
 
 Verdict grade_assembly(const std::string& body, const ToolchainLimits& limits) {
@@ -109,11 +110,7 @@ Verdict grade_assembly(const std::string& body, const ToolchainLimits& limits) {
     verdict.notes.push_back(e.what());
     return verdict;
   }
-  const std::size_t findings = verdict.notes.size();
-  isa::Machine machine;
-  machine.load(image);
-  execute(machine, limits, findings, verdict);
-  return verdict;
+  return execute(image, limits, std::move(verdict));
 }
 
 /// Scenario config: `key=value` header lines (threads, rounds, barrier,
@@ -165,10 +162,19 @@ LifeScenario parse_life_scenario(const std::string& body) {
   return scenario;
 }
 
-Verdict grade_life_trace(const std::string& body) {
+Verdict grade_life_trace(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
   try {
     const LifeScenario scenario = parse_life_scenario(body);
+    // Tracing costs at least one event per cell per round: refuse
+    // rounds x rows x cols over budget (as a quotient: no overflow).
+    const std::size_t budget = limits.max_instructions / scenario.grid.rows();
+    if (scenario.rounds > budget / scenario.grid.cols()) {
+      verdict.status = "timeout";
+      verdict.score = 5;
+      verdict.notes.push_back("rounds x rows x cols exceeds the event budget");
+      return verdict;
+    }
     const life::TracedLifeResult result = life::traced_life_check(
         scenario.grid, scenario.threads, scenario.rounds, scenario.barrier, scenario.rule);
     verdict.result = static_cast<std::int32_t>(result.grid.population());
@@ -288,7 +294,7 @@ Verdict run_toolchain(const Submission& submission, const ToolchainLimits& limit
   switch (submission.kind) {
     case SubmissionKind::MiniC: return grade_mini_c(submission.body, limits);
     case SubmissionKind::Assembly: return grade_assembly(submission.body, limits);
-    case SubmissionKind::LifeTrace: return grade_life_trace(submission.body);
+    case SubmissionKind::LifeTrace: return grade_life_trace(submission.body, limits);
     case SubmissionKind::Script: return grade_script(submission.body, limits);
   }
   throw Error("unknown submission kind");

@@ -1,7 +1,7 @@
 // One submission through the course toolchain, to a verdict:
 //
-//   mini_c      parse → analyze (lint) → codegen → assemble → execute
-//               on an isa::Machine under resource limits
+//   mini_c      parse → analyze (lint) and codegen + _start stub, both
+//               from that one AST → assemble → execute under limits
 //   assembly    assemble → analyze::lint_image → execute under limits
 //   life_trace  parse scenario config → life::traced_life_check →
 //               FastTrack race verdict
@@ -49,7 +49,8 @@ struct ToolchainLimits {
 ///   ok_with_findings ran to completion, but lint found something
 ///   compile_error    the toolchain rejected the body
 ///   runtime_error    the program faulted (segmentation violation, ...)
-///   timeout          a resource limit stopped it (poison submission)
+///   timeout          a resource limit stopped it (poison submission; for
+///                    life_trace, rounds x rows x cols > max_instructions)
 ///   race_free        life_trace/script: certified free of data races
 ///                    (script: every feasible schedule explored)
 ///   race_found       life_trace/script: the detector reported races

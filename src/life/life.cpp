@@ -9,9 +9,11 @@
 
 namespace cs31::life {
 
-Grid::Grid(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), cells_(rows * cols, 0) {
+Grid::Grid(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {
   require(rows > 0 && cols > 0, "grid must have nonzero dimensions");
+  // Before sizing: a wrapped product would let set() write past the end.
+  require(cols <= cells_.max_size() / rows, "grid dimensions overflow");
+  cells_.assign(rows * cols, 0);
 }
 
 Grid Grid::parse(const std::string& text) {

@@ -51,6 +51,15 @@ ThreadTeam::ThreadTeam(std::size_t count, trace::TraceContext& ctx,
   // each worker binds its OS thread to its trace id before the body.
   traced_ids_.reserve(count);
   for (std::size_t t = 0; t < count; ++t) traced_ids_.push_back(ctx.on_thread_create());
+  // The parent typically blocks in join() from here; parking it lets
+  // the workers' barrier drains dispatch each cycle instead of pooling
+  // behind the idle parent's watermark. A parent that does capture
+  // again (e.g. as a consumer of a traced BoundedBuffer) un-parks on
+  // its first access. It parks before any worker runs: parked after
+  // the spawn, a first barrier that beat the park would drain behind
+  // the parent's floor, and the drain batching (ctx.drains()) would
+  // depend on scheduling.
+  ctx.park_self();
   workers_.reserve(count);
   for (std::size_t t = 0; t < count; ++t) {
     workers_.emplace_back([&ctx, body, t, tid = traced_ids_[t]] {
@@ -58,12 +67,6 @@ ThreadTeam::ThreadTeam(std::size_t count, trace::TraceContext& ctx,
       body(t);
     });
   }
-  // The parent typically blocks in join() from here; parking it lets
-  // the workers' barrier drains dispatch each cycle instead of pooling
-  // behind the idle parent's watermark. A parent that does capture
-  // again (e.g. as a consumer of a traced BoundedBuffer) un-parks on
-  // its first access.
-  ctx.park_self();
 }
 
 ThreadTeam::~ThreadTeam() { join(); }

@@ -277,7 +277,8 @@ class TraceContext {
   /// Declare the calling thread dormant: drain its buffer and stop it
   /// constraining the dispatch horizon (see drain_locked) until its
   /// next capture, which un-parks it automatically. A traced ThreadTeam
-  /// parks the parent after spawning — the parent then sits in join()
+  /// parks the parent after forking and before spawning, so no worker
+  /// barrier can drain ahead of the park — the parent then sits in join()
   /// while the workers' barrier drains dispatch every cycle instead of
   /// pooling behind the idle parent's watermark. Bound threads only;
   /// do not mix with scripted (_as) emission for the same id.

@@ -237,7 +237,7 @@ TEST(CfgIsa, RootsCallGraphAndReturns) {
 
 TEST(CfgIsa, CompilerLocalLabelsAreNotRoots) {
   const std::string assembly =
-      cc::compile_to_assembly("int main() { int i = 0; while (i < 3) { i = i + 1; } return i; }");
+      cc::generate(cc::parse("int main() { int i = 0; while (i < 3) { i = i + 1; } return i; }"));
   const IsaCfg cfg = build_cfg(isa::assemble(assembly));
   for (const IsaRoot& r : cfg.roots) {
     EXPECT_NE(r.name.front(), '.') << r.name;

@@ -105,8 +105,10 @@ TEST(Optimizer, IdempotentAfterFixedPoint) {
 TEST(Optimizer, ShrinksGeneratedCode) {
   const std::string source =
       "int main(int x) { return (10 * 10 + 5) * 1 + x * 32 + (3 < 4); }";
-  const std::string plain = compile_to_assembly(source, false);
-  const std::string optimized = compile_to_assembly(source, true);
+  const std::string plain = generate(parse(source));
+  ProgramAst folded = parse(source);
+  optimize(folded);
+  const std::string optimized = generate(folded);
   const auto count_lines = [](const std::string& s) {
     return std::count(s.begin(), s.end(), '\n');
   };

@@ -54,7 +54,7 @@ TEST(Parser, DiagnosticsCarryLines) {
 }
 
 TEST(Codegen, EmitsTheCoursePrologue) {
-  const std::string assembly = compile_to_assembly("int main() { int x = 1; return x; }");
+  const std::string assembly = generate(parse("int main() { int x = 1; return x; }"));
   EXPECT_NE(assembly.find("pushl %ebp"), std::string::npos);
   EXPECT_NE(assembly.find("movl %esp, %ebp"), std::string::npos);
   EXPECT_NE(assembly.find("subl $4, %esp"), std::string::npos);

@@ -9,9 +9,11 @@
 #include <chrono>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ccomp/codegen.hpp"
+#include "ccomp/parser.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "grader/cache.hpp"
@@ -104,6 +106,41 @@ TEST(Toolchain, MiniCPoisonSpinTimesOutDeterministically) {
   EXPECT_NE(v.notes[0].find("instruction budget"), std::string::npos);
 }
 
+TEST(Toolchain, MiniCCompileVerdictsAreGolden) {
+  // Exact verdicts for the bodies whose outcome depends on the order of
+  // the compile stages: a codegen error wins over a missing main and
+  // over an arity mismatch (and then carries no lint notes), while a
+  // body that lowers but cannot start keeps its lint notes ahead of
+  // the error.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"int f() { return y; }",
+       R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["line 1: use of undeclared variable 'y'"]})j"},
+      {"// args: 1\nint main() { return q; }",
+       R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["line 2: use of undeclared variable 'q'"]})j"},
+      {"int _start() { return 1; }\nint main() { return 2; }",
+       R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["line 17: duplicate label '_start'"]})j"},
+      {"int f() { return 1; }\n",
+       R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["program has no main()"]})j"},
+      {"int main(int a) { return a; }\n",
+       R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["main() expects 1 argument(s), got 0"]})j"},
+      {"// args: 30 12\nint main(int a, int b) { return a + b; }\n",
+       R"j({"status":"ok","score":100,"result":42,"instructions":15,"events":0,"races":0,"notes":[]})j"},
+      {"int main() {\n  int x = 5;\n  x = 6;\n  return x;\n}\n",
+       R"j({"status":"ok_with_findings","score":95,"result":6,"instructions":13,"events":0,"races":0,"notes":["warning[dead-store] line 2 in 'main': the initial value of 'x' is never read"]})j"},
+      {"int main() {\n  int x = 5;\n  x = 6;\n  return q;\n}\n",
+       R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["line 4: use of undeclared variable 'q'"]})j"},
+      {"int f() {\n  int x = 5;\n  x = 6;\n  return x;\n}\n",
+       R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["warning[dead-store] line 2 in 'f': the initial value of 'x' is never read","program has no main()"]})j"},
+      {"int _start() {\n  int x = 5;\n  x = 6;\n  return x;\n}\nint main() { return 2; }\n",
+       R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["warning[dead-store] line 2 in '_start': the initial value of 'x' is never read","line 22: duplicate label '_start'"]})j"},
+  };
+  for (const auto& [body, golden] : cases) {
+    EXPECT_EQ(run_toolchain({"s", SubmissionKind::MiniC, body}, test_limits()).to_json(),
+              golden)
+        << body;
+  }
+}
+
 TEST(Toolchain, AssemblyCleanRun) {
   // assembly_body sums base + iters + iters-1 + ... + 1.
   const Verdict v =
@@ -152,6 +189,38 @@ TEST(Toolchain, LifeMalformedConfigIsInvalid) {
   const Verdict v =
       run_toolchain({"s", SubmissionKind::LifeTrace, poison_bad_life()}, test_limits());
   EXPECT_EQ(v.status, "invalid");
+  EXPECT_EQ(v.score, 0);
+}
+
+TEST(Toolchain, LifeOverBudgetScenarioTimesOutBeforeTracing) {
+  // 4e9 rounds of an 8x8 grid would trace for about a day; the budget
+  // check refuses it before the first event.
+  const std::string body = "threads=1\nrounds=4000000000\n8 8\n1\n3 3\n";
+  const auto start = std::chrono::steady_clock::now();
+  const Verdict v = run_toolchain({"s", SubmissionKind::LifeTrace, body}, test_limits());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(v.status, "timeout") << v.to_json();
+  EXPECT_EQ(v.score, 5);
+  EXPECT_EQ(v.events, 0u);
+  ASSERT_EQ(v.notes.size(), 1u);
+  EXPECT_NE(v.notes[0].find("budget"), std::string::npos) << v.notes[0];
+  // The boundary: 312 x 8 x 8 = 19968 is traced, 313 x 8 x 8 is not.
+  const auto rounds = [](int n) {
+    return "threads=1\nrounds=" + std::to_string(n) + "\n8 8\n1\n3 3\n";
+  };
+  EXPECT_EQ(run_toolchain({"s", SubmissionKind::LifeTrace, rounds(312)}, test_limits()).status,
+            "race_free");
+  EXPECT_EQ(run_toolchain({"s", SubmissionKind::LifeTrace, rounds(313)}, test_limits()).status,
+            "timeout");
+}
+
+TEST(Toolchain, LifeOverflowingGridIsInvalid) {
+  // 2^32 x 2^32 wraps to zero cells on a 64-bit size_t; the grid must
+  // refuse it rather than let the live cell land outside its buffer.
+  const Verdict v = run_toolchain(
+      {"s", SubmissionKind::LifeTrace, "rounds=1\n4294967296 4294967296\n1\n5 5\n"},
+      test_limits());
+  EXPECT_EQ(v.status, "invalid") << v.to_json();
   EXPECT_EQ(v.score, 0);
 }
 
@@ -523,7 +592,7 @@ TEST(Reentrancy, EightConcurrentCompileRunsMatchSerialByteForByte) {
   std::vector<std::string> serial_asm(kThreads);
   std::vector<std::int32_t> serial_result(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
-    serial_asm[i] = cc::compile_to_assembly(sources[i]);
+    serial_asm[i] = cc::generate(cc::parse(sources[i]));
     serial_result[i] = cc::run_mini_c(sources[i]);
   }
 
@@ -532,7 +601,7 @@ TEST(Reentrancy, EightConcurrentCompileRunsMatchSerialByteForByte) {
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      threaded_asm[i] = cc::compile_to_assembly(sources[i]);
+      threaded_asm[i] = cc::generate(cc::parse(sources[i]));
       threaded_result[i] = cc::run_mini_c(sources[i]);
     });
   }

@@ -22,7 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "ccomp/driver.hpp"
+#include "ccomp/codegen.hpp"
+#include "ccomp/optimizer.hpp"
+#include "ccomp/parser.hpp"
 #include "common/error.hpp"
 #include "isa/assembler.hpp"
 #include "isa/machine.hpp"
@@ -292,16 +294,9 @@ TEST(DiffFuzz, CompiledMiniCAtBothOptLevels) {
   std::uint64_t seed = 0xC0DE;
   for (const Fixture& fixture : corpus) {
     for (const bool optimize : {false, true}) {
-      cc::PipelineOptions opts;
-      opts.optimize = optimize;
-      const cc::PipelineResult compiled = cc::compile_pipeline(fixture.source, opts);
-      std::ostringstream stub;
-      stub << "_start:\n";
-      for (auto it = fixture.args.rbegin(); it != fixture.args.rend(); ++it) {
-        stub << "    pushl $" << *it << "\n";
-      }
-      stub << "    call main\n    hlt\n";
-      const Image image = assemble(compiled.assembly + stub.str());
+      cc::ProgramAst program = cc::parse(fixture.source);
+      if (optimize) cc::optimize(program);
+      const Image image = cc::compile_with_entry(program, fixture.args);
       const std::string repro =
           "(optimize=" + std::to_string(optimize) + ")\n" + fixture.source;
       ASSERT_NO_FATAL_FAILURE(expect_lockstep(image, 1u << 16, ++seed, 13, repro));
