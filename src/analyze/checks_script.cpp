@@ -143,7 +143,11 @@ std::string ConcurSummary::to_json() const {
 }
 
 ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scripts) {
-  const ScriptModel model = build_script_model(scripts);
+  return analyze_scripts(race::parse_scripts(scripts));
+}
+
+ConcurSummary analyze_scripts(const race::ScriptIr& ir) {
+  const ScriptModel model = build_script_model(ir);
   ConcurSummary summary;
   summary.threads = model.threads.size();
   summary.ops = model.total_ops();
@@ -156,7 +160,7 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
       const ScriptOp& a = *accesses[i];
       const ScriptOp& b = *accesses[j];
       if (a.thread == b.thread || a.object != b.object) continue;
-      if (a.verb != ScriptVerb::Write && b.verb != ScriptVerb::Write) continue;
+      if (a.verb != race::ScriptVerb::Write && b.verb != race::ScriptVerb::Write) continue;
       if (!disjoint(a.must_locks, b.must_locks)) continue;
       if (model.barrier_ordered(a, b)) continue;
 
@@ -170,8 +174,8 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
       race.second = b.text;
       race.first_thread = a.thread;
       race.second_thread = b.thread;
-      race.first_is_write = a.verb == ScriptVerb::Write;
-      race.second_is_write = b.verb == ScriptVerb::Write;
+      race.first_is_write = a.verb == race::ScriptVerb::Write;
+      race.second_is_write = b.verb == race::ScriptVerb::Write;
       race.explanation = "locksets " + lockset_text(a.must_locks) + " vs " +
                          lockset_text(b.must_locks) +
                          " share no lock and no barrier orders the pair";
@@ -251,7 +255,7 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
     const ScriptOp* witness = nullptr;
     for (const ThreadScript& thread : model.threads) {
       for (const ScriptOp& op : thread.ops) {
-        if (op.verb == ScriptVerb::Recv && op.object == channel) {
+        if (op.verb == race::ScriptVerb::Recv && op.object == channel) {
           witness = &op;
           break;
         }
@@ -284,7 +288,7 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
         // that can never complete.
         std::size_t arrivals = 0;
         for (const ScriptOp& op : thread.ops) {
-          if (op.verb != ScriptVerb::Barrier) continue;
+          if (op.verb != race::ScriptVerb::Barrier) continue;
           if (++arrivals == model.min_arrivals + 1) {
             witness = &op;
             break;
@@ -317,7 +321,7 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
     for (const ThreadScript& thread : model.threads) {
       for (const ScriptOp& op : thread.ops) {
         if (op.object != var ||
-            (op.verb != ScriptVerb::Read && op.verb != ScriptVerb::Write)) {
+            (op.verb != race::ScriptVerb::Read && op.verb != race::ScriptVerb::Write)) {
           continue;
         }
         if (first) {
@@ -363,12 +367,12 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
     std::vector<std::string> held;  // acquisition order
     for (const ScriptOp& op : thread.ops) {
       switch (op.verb) {
-        case ScriptVerb::Lock:
+        case race::ScriptVerb::Lock:
           seen_mutexes.insert(op.object);
           for (const std::string& h : held) impure.insert(h);
           held.push_back(op.object);
           break;
-        case ScriptVerb::Unlock: {
+        case race::ScriptVerb::Unlock: {
           const auto it = std::find(held.rbegin(), held.rend(), op.object);
           if (it != held.rend()) {
             held.erase(std::next(it).base());
@@ -377,8 +381,8 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
           }
           break;
         }
-        case ScriptVerb::Read:
-        case ScriptVerb::Write:
+        case race::ScriptVerb::Read:
+        case race::ScriptVerb::Write:
           for (const std::string& h : held) {
             const auto guard = summary.guarded_vars.find(op.object);
             const bool guarded_by_h =
@@ -386,9 +390,9 @@ ConcurSummary analyze_scripts(const std::vector<std::vector<std::string>>& scrip
             if (!guarded_by_h && !thread_local_var(op.object)) impure.insert(h);
           }
           break;
-        case ScriptVerb::Send:
-        case ScriptVerb::Recv:
-        case ScriptVerb::Barrier:
+        case race::ScriptVerb::Send:
+        case race::ScriptVerb::Recv:
+        case race::ScriptVerb::Barrier:
           for (const std::string& h : held) impure.insert(h);
           break;
       }

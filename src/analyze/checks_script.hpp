@@ -130,9 +130,12 @@ struct ConcurSummary {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Run every check over untagged per-thread scripts (the Explorer /
-/// replay_all_interleavings input shape). Throws cs31::Error only on a
-/// malformed op; discipline violations come back as diagnostics.
+/// Run every check over parsed scripts. Never throws for a script:
+/// discipline violations come back as diagnostics.
+[[nodiscard]] ConcurSummary analyze_scripts(const race::ScriptIr& ir);
+
+/// analyze_scripts(race::parse_scripts(scripts)): throws cs31::Error
+/// only on a malformed op.
 [[nodiscard]] ConcurSummary analyze_scripts(
     const std::vector<std::vector<std::string>>& scripts);
 

@@ -1,5 +1,6 @@
-// Static model of the concurrent-script grammar (race/replay.hpp):
-// the representation every `analyze::concur` check works on.
+// Static model of the thread scripts, built from the one parsed script
+// IR (race/script.hpp holds the grammar and its only parser): the
+// representation every `analyze::concur` check works on.
 //
 // The per-thread scripts the replay engine and the DPOR explorer
 // consume are straight-line programs, so "abstract interpretation" of
@@ -36,18 +37,16 @@
 #include <string>
 #include <vector>
 
+#include "race/script.hpp"
+
 namespace cs31::analyze {
-
-enum class ScriptVerb : std::uint8_t { Read, Write, Lock, Unlock, Send, Recv, Barrier };
-
-[[nodiscard]] std::string to_string(ScriptVerb verb);
 
 /// One parsed op of one thread's script, with the per-thread abstract
 /// state attached: the must-hold lockset and the barrier epoch at the
 /// point this op executes.
 struct ScriptOp {
-  ScriptVerb verb = ScriptVerb::Read;
-  std::string object;  ///< variable / mutex / channel name ("" for barrier)
+  race::ScriptVerb verb = race::ScriptVerb::Read;
+  std::string object;  ///< the op's operand (variable / mutex / channel name)
   std::string text;    ///< tagged text, e.g. "t0 write z" — report attribution
   std::size_t thread = 0;  ///< owning thread index
   std::size_t index = 0;   ///< 0-based position in the thread's script
@@ -62,7 +61,7 @@ struct ScriptOp {
   /// True for ops that can block under real semantics: lock, recv,
   /// and any op whose thread is parked at an incomplete barrier.
   [[nodiscard]] bool blocks() const {
-    return verb == ScriptVerb::Lock || verb == ScriptVerb::Recv;
+    return verb == race::ScriptVerb::Lock || verb == race::ScriptVerb::Recv;
   }
 
   /// The resource a blocking op waits on, in the shared naming scheme
@@ -139,14 +138,11 @@ struct ScriptModel {
   [[nodiscard]] bool barrier_ordered(const ScriptOp& a, const ScriptOp& b) const;
 };
 
-/// Build the model from untagged per-thread scripts (the same input
-/// shape race::Explorer and race::replay_all_interleavings take; tags
-/// are derived as "t<k>"). Throws cs31::Error on a malformed op — an
-/// unknown verb or a missing operand — exactly like the replay
-/// parser; discipline violations (unlock-without-lock, re-lock) are
-/// recorded in the model for the checks, not thrown.
-[[nodiscard]] ScriptModel build_script_model(
-    const std::vector<std::vector<std::string>>& scripts);
+/// Build the model from parsed scripts. Discipline violations
+/// (unlock-without-lock, re-lock) are recorded in the model for the
+/// checks, not thrown. The model copies what it keeps, so it may
+/// outlive `ir`.
+[[nodiscard]] ScriptModel build_script_model(const race::ScriptIr& ir);
 
 /// Strongly-connected components of an edge list with >= 2 nodes, plus
 /// single nodes with a self-edge — i.e. every node set that lies on a

@@ -44,10 +44,18 @@ std::vector<std::int32_t> parse_args_directive(const std::string& body) {
 }
 
 /// Load `image`, run it under the budget and fill the execution half
-/// of the verdict; the notes already in it are the lint findings.
+/// of the verdict; the notes already in it are the lint findings. An
+/// image the machine cannot hold never ran: a compile error.
 Verdict execute(const isa::Image& image, const ToolchainLimits& limits, Verdict verdict) {
   isa::Machine machine;
-  machine.load(image);
+  try {
+    machine.load(image);
+  } catch (const Error& e) {
+    verdict.status = "compile_error";
+    verdict.score = 0;
+    verdict.notes = {e.what()};
+    return verdict;
+  }
   const std::size_t findings = verdict.notes.size();
   try {
     const auto outcome =
@@ -120,13 +128,13 @@ struct LifeScenario {
   std::size_t rounds = 1;
   bool barrier = true;
   life::EdgeRule rule = life::EdgeRule::Torus;
-  life::Grid grid{1, 1};
+  std::string grid;  ///< the grid block, parsed only once it fits the budget
 };
 
 LifeScenario parse_life_scenario(const std::string& body) {
   LifeScenario scenario;
   std::istringstream lines(body);
-  std::string line, grid_text;
+  std::string line;
   bool in_grid = false;
   while (std::getline(lines, line)) {
     if (!in_grid) {
@@ -154,29 +162,39 @@ LifeScenario parse_life_scenario(const std::string& body) {
       }
       in_grid = true;  // first non-header line starts the grid block
     }
-    grid_text += line;
-    grid_text += '\n';
+    scenario.grid += line;
+    scenario.grid += '\n';
   }
-  require(!grid_text.empty(), "life scenario: missing grid");
-  scenario.grid = life::Grid::parse(grid_text);
+  require(!scenario.grid.empty(), "life scenario: missing grid");
   return scenario;
+}
+
+/// Tracing costs an event per cell per round, and round 0 still traces
+/// the grid once: is max(rounds, 1) x rows x cols over budget? Read from
+/// the grid header before Grid::parse allocates (as a quotient: no
+/// overflow); a header Grid::parse would reject is left to it.
+bool over_event_budget(const LifeScenario& scenario, const ToolchainLimits& limits) {
+  std::istringstream header(scenario.grid);
+  std::size_t rows = 0, cols = 0;
+  if (!(header >> rows >> cols) || rows == 0 || cols == 0) return false;
+  life::Grid::check_dimensions(rows, cols);
+  const std::size_t rounds = scenario.rounds == 0 ? 1 : scenario.rounds;
+  return rounds > limits.max_instructions / rows / cols;
 }
 
 Verdict grade_life_trace(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
   try {
     const LifeScenario scenario = parse_life_scenario(body);
-    // Tracing costs at least one event per cell per round: refuse
-    // rounds x rows x cols over budget (as a quotient: no overflow).
-    const std::size_t budget = limits.max_instructions / scenario.grid.rows();
-    if (scenario.rounds > budget / scenario.grid.cols()) {
+    if (over_event_budget(scenario, limits)) {
       verdict.status = "timeout";
       verdict.score = 5;
       verdict.notes.push_back("rounds x rows x cols exceeds the event budget");
       return verdict;
     }
-    const life::TracedLifeResult result = life::traced_life_check(
-        scenario.grid, scenario.threads, scenario.rounds, scenario.barrier, scenario.rule);
+    const life::TracedLifeResult result =
+        life::traced_life_check(life::Grid::parse(scenario.grid), scenario.threads,
+                                scenario.rounds, scenario.barrier, scenario.rule);
     verdict.result = static_cast<std::int32_t>(result.grid.population());
     verdict.events = result.events;
     verdict.races = result.races.size();
@@ -229,12 +247,14 @@ std::vector<std::vector<std::string>> parse_script_threads(const std::string& bo
 Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
   Verdict verdict;
   try {
-    const auto scripts = parse_script_threads(body);
+    // Parsed once: a malformed op is `invalid` here, and the static
+    // tier and the exploration share the IR.
+    race::ScriptIr ir = race::parse_scripts(parse_script_threads(body));
 
     // Static first: every diagnostic becomes a report note, and the
     // summary seeds the exploration (priority hints, independence
     // pruning, blocking semantics).
-    const analyze::ConcurSummary summary = analyze::analyze_scripts(scripts);
+    const analyze::ConcurSummary summary = analyze::analyze_scripts(ir);
     std::size_t findings = 0;
     for (const analyze::Diagnostic& d : summary.diagnostics) {
       if (d.severity != analyze::Severity::Note) ++findings;
@@ -244,7 +264,7 @@ Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
     race::ExploreOptions options = analyze::seed_explore_options(summary);
     options.max_schedules = 4096;
     options.max_events = limits.max_instructions;
-    const race::ExploreResult explored = race::explore_races(scripts, options);
+    const race::ExploreResult explored = race::explore_races(std::move(ir), options);
     verdict.result = static_cast<std::int32_t>(explored.schedules_replayed);
     verdict.events = explored.events_replayed;
     verdict.races = explored.races.size();
@@ -279,8 +299,8 @@ Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
       verdict.score = clean_score(findings);
     }
   } catch (const std::exception& e) {
-    // Malformed ops (analyze) and unlock-without-lock (the Explorer's
-    // eager validation) are both submission defects.
+    // Malformed ops (the parser) and unlock-without-lock (the
+    // Explorer's eager validation) are both submission defects.
     verdict.status = "invalid";
     verdict.score = 0;
     verdict.notes.push_back(e.what());

@@ -47,10 +47,14 @@ struct ToolchainLimits {
 /// What grading one submission produced. `status` is one of:
 ///   ok               compiled/assembled clean and ran to completion
 ///   ok_with_findings ran to completion, but lint found something
-///   compile_error    the toolchain rejected the body
+///   compile_error    the toolchain rejected the body, or its image does
+///                    not fit in the machine's memory (nothing ran; the
+///                    load error is the only note)
 ///   runtime_error    the program faulted (segmentation violation, ...)
 ///   timeout          a resource limit stopped it (poison submission; for
-///                    life_trace, rounds x rows x cols > max_instructions)
+///                    life_trace, max(rounds, 1) x rows x cols >
+///                    max_instructions, read from the grid header before
+///                    any cell is allocated)
 ///   race_free        life_trace/script: certified free of data races
 ///                    (script: every feasible schedule explored)
 ///   race_found       life_trace/script: the detector reported races

@@ -10,10 +10,14 @@
 namespace cs31::life {
 
 Grid::Grid(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {
+  check_dimensions(rows, cols);
+  cells_.assign(rows * cols, 0);
+}
+
+void Grid::check_dimensions(std::size_t rows, std::size_t cols) {
   require(rows > 0 && cols > 0, "grid must have nonzero dimensions");
   // Before sizing: a wrapped product would let set() write past the end.
-  require(cols <= cells_.max_size() / rows, "grid dimensions overflow");
-  cells_.assign(rows * cols, 0);
+  require(cols <= std::vector<std::uint8_t>().max_size() / rows, "grid dimensions overflow");
 }
 
 Grid Grid::parse(const std::string& text) {

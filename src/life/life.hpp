@@ -21,8 +21,13 @@ enum class EdgeRule { Bounded, Torus };
 /// one-big-malloc layout discussion.
 class Grid {
  public:
-  /// Dead grid of the given size. Throws cs31::Error on zero dimensions.
+  /// Dead grid of the given size. Throws cs31::Error on dimensions
+  /// check_dimensions rejects.
   Grid(std::size_t rows, std::size_t cols);
+
+  /// Throws cs31::Error on a zero dimension or a cell count that does
+  /// not fit a vector. Callers may check before building anything.
+  static void check_dimensions(std::size_t rows, std::size_t cols);
 
   /// Parse the lab's file format:
   ///   line 1: rows cols

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -12,85 +11,6 @@
 
 namespace cs31::race {
 namespace {
-
-// ---------------------------------------------------------------------
-// Parsed op model. Mirrors replay.cpp's grammar exactly; parsing happens
-// once in the Explorer constructor so the walk and the dependence checks
-// never touch strings, and malformed scripts fail before the walk
-// starts.
-// ---------------------------------------------------------------------
-
-enum class Verb : std::uint8_t { Read, Write, Lock, Unlock, Send, Recv, Barrier };
-enum class ObjKind : std::uint8_t { Var, Mutex, Channel, Barrier };
-
-struct POp {
-  Verb verb = Verb::Read;
-  ObjKind okind = ObjKind::Var;
-  std::uint32_t obj = 0;  ///< interned per ObjKind
-  std::string text;       ///< the tagged op string fed to replay()
-  std::string arg;        ///< operand name ("" for barrier) — deadlock reports
-};
-
-/// Two ops of different threads are dependent iff reordering them could
-/// change the detector's verdict (see the soundness sketch in
-/// DESIGN.md §11). Barrier arrivals are dependent with everything: the
-/// completing arrival joins every waiter's clock, and which arrival
-/// completes is schedule-dependent.
-bool dependent(const POp& a, const POp& b) {
-  if (a.verb == Verb::Barrier || b.verb == Verb::Barrier) return true;
-  if (a.okind != b.okind || a.obj != b.obj) return false;
-  if (a.okind == ObjKind::Var) {
-    return a.verb == Verb::Write || b.verb == Verb::Write;  // read/read commutes
-  }
-  return true;  // mutex and channel ops on the same object
-}
-
-struct OpInterner {
-  std::map<std::string, std::uint32_t> ids;
-  std::uint32_t intern(const std::string& name) {
-    const auto [it, inserted] = ids.emplace(name, static_cast<std::uint32_t>(ids.size()));
-    (void)inserted;
-    return it->second;
-  }
-};
-
-/// Parse one tagged op ("t0 write balance"). Same checks as
-/// replay.cpp's parse_op; interning per object kind on top.
-POp parse_op(const std::string& text, OpInterner& vars, OpInterner& mutexes,
-             OpInterner& channels) {
-  std::istringstream in(text);
-  std::string tag, verb, arg;
-  in >> tag >> verb >> arg;
-  require(tag.size() >= 2 && tag[0] == 't',
-          "explore op '" + text + "' is missing its thread tag (t<k>)");
-  require(!verb.empty(), "explore op '" + text + "' is missing a verb");
-  POp op;
-  op.text = text;
-  if (verb == "read" || verb == "write") {
-    require(!arg.empty(), "explore op '" + text + "' needs a variable");
-    op.verb = verb == "read" ? Verb::Read : Verb::Write;
-    op.okind = ObjKind::Var;
-    op.obj = vars.intern(arg);
-  } else if (verb == "lock" || verb == "unlock") {
-    require(!arg.empty(), "explore op '" + text + "' needs a mutex");
-    op.verb = verb == "lock" ? Verb::Lock : Verb::Unlock;
-    op.okind = ObjKind::Mutex;
-    op.obj = mutexes.intern(arg);
-  } else if (verb == "send" || verb == "recv") {
-    require(!arg.empty(), "explore op '" + text + "' needs a channel");
-    op.verb = verb == "send" ? Verb::Send : Verb::Recv;
-    op.okind = ObjKind::Channel;
-    op.obj = channels.intern(arg);
-  } else if (verb == "barrier") {
-    op.verb = Verb::Barrier;
-    op.okind = ObjKind::Barrier;
-    op.obj = 0;
-  } else {
-    throw Error("explore op '" + text + "': unknown verb '" + verb + "'");
-  }
-  op.arg = std::move(arg);
-  return op;
-}
 
 /// Emissions a replay result trails the walk before it folds into the
 /// result and the guidance: schedule j's result is folded just before
@@ -114,25 +34,26 @@ struct ScheduleResult {
 
 class Engine {
  public:
-  Engine(const std::vector<std::vector<POp>>& ops, const ExploreOptions& options,
-         std::uint64_t total, bool total_saturated,
-         std::set<std::uint32_t> independent_vars,
-         std::set<std::uint32_t> independent_mutexes, std::size_t mutex_count,
-         std::size_t channel_count)
-      : ops_(ops),
-        options_(options),
-        independent_vars_(std::move(independent_vars)),
-        independent_mutexes_(std::move(independent_mutexes)),
-        threads_(ops.size()) {
-    result_.interleavings_total = total;
-    result_.total_saturated = total_saturated;
-    pos_.assign(threads_, 0);
+  Engine(const ScriptIr& ir, const ExploreOptions& options)
+      : ops_(ir.threads()), options_(options), threads_(ops_.size()), state_(ir) {
+    // Only the script lengths matter to the multinomial.
+    std::vector<std::vector<std::string>> shape;
+    for (const auto& script : ops_) {
+      shape.emplace_back(script.size());
+      total_ops_ += script.size();
+    }
+    result_.interleavings_total = os::interleaving_count(shape, result_.total_saturated);
+    const auto ids = [&ir](ObjectKind kind, const std::vector<std::string>& names) {
+      std::set<std::uint32_t> out;
+      for (const std::string& name : names) {
+        const auto it = ir.objects(kind).find(name);
+        if (it != ir.objects(kind).end()) out.insert(it->second);
+      }
+      return out;
+    };
+    independent_vars_ = ids(ObjectKind::Var, options_.independent_vars);
+    independent_mutexes_ = ids(ObjectKind::Mutex, options_.independent_mutexes);
     last_event_of_.assign(threads_, -1);
-    mutex_holder_.assign(mutex_count, -1);
-    channel_fill_.assign(channel_count, 0);
-    arrivals_.assign(threads_, 0);
-    total_ops_ = 0;
-    for (const auto& script : ops_) total_ops_ += script.size();
     for (const RaceReport& hint : options_.hints) {
       add_hint(hint.first.where, hint.second.where);
     }
@@ -152,9 +73,8 @@ class Engine {
   // --- the DPOR walk (sequential, deterministic) ---
 
   struct Event {
-    std::uint32_t tid = 0;
-    const POp* op = nullptr;
-    int prev_last = -1;               ///< last_event_of_[tid] before this event
+    const ParsedOp* op = nullptr;
+    int prev_last = -1;               ///< last_event_of_[op->thread] before this event
     std::vector<std::uint32_t> clock; ///< trace happens-before clock
   };
 
@@ -168,11 +88,18 @@ class Engine {
     std::set<std::uint32_t> enabled;
   };
 
-  /// The dependence relation, minus caller-proven-independent variable
-  /// pairs (options.independent_vars: thread-local or consistently
-  /// locked). A pruned access mutates no blocking state and its pairs
-  /// are never co-enabled under blocking, so dropping the edge keeps
-  /// both the clock joins and the sleep sets sound.
+  /// Two ops of different threads are dependent iff reordering them
+  /// could change the detector's verdict (see the soundness sketch in
+  /// DESIGN.md §11): read/write or write/write on one variable, any two
+  /// ops on one mutex or one channel, and a barrier arrival with
+  /// everything (the completing arrival joins every waiter's clock, and
+  /// which arrival completes is schedule-dependent).
+  ///
+  /// Minus caller-proven-independent variable pairs
+  /// (options.independent_vars: thread-local or consistently locked). A
+  /// pruned access mutates no blocking state and its pairs are never
+  /// co-enabled under blocking, so dropping the edge keeps both the
+  /// clock joins and the sleep sets sound.
   ///
   /// Pure-guard mutexes (options.independent_mutexes) drop their
   /// cross-thread lock/unlock edges too: their critical sections hold
@@ -181,44 +108,16 @@ class Engine {
   /// verdict nor any reachable stuck state depends on which thread won
   /// the lock. The walk still models the mutex's enabledness (a waiter
   /// parks until the section ends); only the ORDER stops mattering.
-  bool dep(const POp& a, const POp& b) const {
-    if (a.okind == ObjKind::Var && b.okind == ObjKind::Var && a.obj == b.obj &&
-        independent_vars_.count(a.obj) != 0) {
-      return false;
+  bool dep(const ParsedOp& a, const ParsedOp& b) const {
+    if (a.verb == ScriptVerb::Barrier || b.verb == ScriptVerb::Barrier) return true;
+    const ObjectKind kind = object_kind(a.verb);
+    if (kind != object_kind(b.verb) || a.object != b.object) return false;
+    if (kind == ObjectKind::Var) {
+      return (a.verb == ScriptVerb::Write || b.verb == ScriptVerb::Write) &&
+             independent_vars_.count(a.object) == 0;  // read/read commutes
     }
-    if (a.okind == ObjKind::Mutex && b.okind == ObjKind::Mutex && a.obj == b.obj &&
-        independent_mutexes_.count(a.obj) != 0) {
-      return false;
-    }
-    return dependent(a, b);
+    return kind == ObjectKind::Channel || independent_mutexes_.count(a.object) == 0;
   }
-
-  /// Barrier cycles completed so far: the slowest participating
-  /// (non-empty) thread's arrival count.
-  std::size_t completed_cycles() const {
-    std::size_t completed = ~std::size_t{0};
-    bool any = false;
-    for (std::size_t t = 0; t < threads_; ++t) {
-      if (ops_[t].empty()) continue;
-      completed = any ? std::min(completed, arrivals_[t]) : arrivals_[t];
-      any = true;
-    }
-    return any ? completed : 0;
-  }
-
-  bool parked(std::uint32_t t) const { return arrivals_[t] > completed_cycles(); }
-
-  bool enabled(std::uint32_t t) const {
-    if (pos_[t] >= ops_[t].size()) return false;
-    if (!options_.model_blocking) return true;
-    if (parked(t)) return false;
-    const POp& op = ops_[t][pos_[t]];
-    if (op.verb == Verb::Lock) return mutex_holder_[op.obj] < 0;
-    if (op.verb == Verb::Recv) return channel_fill_[op.obj] > 0;
-    return true;
-  }
-
-  const POp& next_op(std::uint32_t t) const { return ops_[t][pos_[t]]; }
 
   /// Did executed event i happen-before (program order + dependence,
   /// transitively) some already-executed event of thread p?
@@ -226,13 +125,13 @@ class Engine {
     const int lp = last_event_of_[p];
     if (lp < 0) return false;
     const Event& ei = executed_[i];
-    return executed_[static_cast<std::size_t>(lp)].clock[ei.tid] >= ei.clock[ei.tid];
+    const std::uint32_t t = ei.op->thread;
+    return executed_[static_cast<std::size_t>(lp)].clock[t] >= ei.clock[t];
   }
 
   void execute(std::uint32_t p) {
     Event ev;
-    ev.tid = p;
-    ev.op = &next_op(p);
+    ev.op = &state_.next(p);
     ev.prev_last = last_event_of_[p];
     if (ev.prev_last >= 0) {
       ev.clock = executed_[static_cast<std::size_t>(ev.prev_last)].clock;
@@ -240,42 +139,19 @@ class Engine {
       ev.clock.assign(threads_, 0);
     }
     for (const Event& prior : executed_) {
-      if (prior.tid == p || !dep(*prior.op, *ev.op)) continue;
+      if (prior.op->thread == p || !dep(*prior.op, *ev.op)) continue;
       for (std::size_t k = 0; k < threads_; ++k) {
         ev.clock[k] = std::max(ev.clock[k], prior.clock[k]);
       }
     }
     ev.clock[p] += 1;
     last_event_of_[p] = static_cast<int>(executed_.size());
-    if (options_.model_blocking) {
-      const POp& op = *executed_.emplace_back(std::move(ev)).op;
-      switch (op.verb) {
-        case Verb::Lock: mutex_holder_[op.obj] = static_cast<int>(p); break;
-        case Verb::Unlock: mutex_holder_[op.obj] = -1; break;
-        case Verb::Send: ++channel_fill_[op.obj]; break;
-        case Verb::Recv: --channel_fill_[op.obj]; break;
-        case Verb::Barrier: ++arrivals_[p]; break;
-        default: break;
-      }
-    } else {
-      executed_.push_back(std::move(ev));
-    }
-    ++pos_[p];
+    executed_.push_back(std::move(ev));
+    state_.execute(p);
   }
 
   void undo(std::uint32_t p) {
-    --pos_[p];
-    if (options_.model_blocking) {
-      const POp& op = *executed_.back().op;
-      switch (op.verb) {
-        case Verb::Lock: mutex_holder_[op.obj] = -1; break;
-        case Verb::Unlock: mutex_holder_[op.obj] = static_cast<int>(p); break;
-        case Verb::Send: --channel_fill_[op.obj]; break;
-        case Verb::Recv: ++channel_fill_[op.obj]; break;
-        case Verb::Barrier: --arrivals_[p]; break;
-        default: break;
-      }
-    }
+    state_.undo(p);
     last_event_of_[p] = executed_.back().prev_last;
     executed_.pop_back();
   }
@@ -286,7 +162,7 @@ class Engine {
   /// in p's script (run p toward it); 0: no hint says anything.
   int score(std::uint32_t p) const {
     if (hint_labels_.empty()) return 0;
-    const POp& np = next_op(p);
+    const ParsedOp& np = state_.next(p);
     if (hint_labels_.count(np.text) != 0) {
       for (const auto& [a, b] : hint_pairs_) {
         const std::string* partner = nullptr;
@@ -296,7 +172,7 @@ class Engine {
       }
       return 1;
     }
-    for (std::size_t j = pos_[p] + 1; j < ops_[p].size(); ++j) {
+    for (std::size_t j = state_.positions()[p] + 1; j < ops_[p].size(); ++j) {
       if (hint_labels_.count(ops_[p][j].text) != 0) return 1;
     }
     return 0;
@@ -307,7 +183,7 @@ class Engine {
   bool label_pending(const std::string& label, std::uint32_t self) const {
     for (std::uint32_t q = 0; q < threads_; ++q) {
       if (q == self) continue;
-      for (std::size_t j = pos_[q]; j < ops_[q].size(); ++j) {
+      for (std::size_t j = state_.positions()[q]; j < ops_[q].size(); ++j) {
         if (ops_[q][j].text == label) return true;
       }
     }
@@ -335,7 +211,7 @@ class Engine {
 
     std::vector<std::uint32_t> en;
     for (std::uint32_t p = 0; p < threads_; ++p) {
-      if (enabled(p)) en.push_back(p);
+      if (options_.model_blocking ? state_.enabled(p) : !state_.finished(p)) en.push_back(p);
     }
 
     // Race analysis (Flanagan–Godefroid): for every thread p with a
@@ -353,11 +229,11 @@ class Engine {
     // complete leaf no thread has a pending op, so the loop is a no-op
     // there and the non-blocking walk is unchanged.
     for (std::uint32_t p = 0; p < threads_; ++p) {
-      if (pos_[p] >= ops_[p].size()) continue;
-      const POp& np = next_op(p);
+      if (state_.finished(p)) continue;
+      const ParsedOp& np = state_.next(p);
       for (std::size_t i = depth; i-- > 0;) {
         const Event& ev = executed_[i];
-        if (ev.tid == p || !dep(*ev.op, np)) continue;
+        if (ev.op->thread == p || !dep(*ev.op, np)) continue;
         // An ordered dependent event is not a reversible race — keep
         // scanning for an earlier unordered one (the max of the
         // qualifying set, per the algorithm).
@@ -417,11 +293,11 @@ class Engine {
       }
       if (todo.empty()) break;
       const std::uint32_t p = pick(todo);
-      const POp& op = next_op(p);
+      const ParsedOp& op = state_.next(p);
 
       std::set<std::uint32_t> child_sleep;
       for (const std::uint32_t q : frames_[depth].sleep) {
-        if (!dep(next_op(q), op)) child_sleep.insert(q);
+        if (!dep(state_.next(q), op)) child_sleep.insert(q);
       }
 
       execute(p);
@@ -440,28 +316,9 @@ class Engine {
   /// vector, in walk discovery order.
   void record_deadlock() {
     ++result_.deadlocked_schedules;
-    std::string key;
-    for (const std::size_t p : pos_) {
-      key += std::to_string(p);
-      key += ',';
+    if (deadlock_seen_.insert(state_.positions()).second) {
+      result_.deadlocks.push_back(state_.stuck());
     }
-    if (!deadlock_seen_.insert(key).second) return;
-    DeadlockState state;
-    for (std::uint32_t t = 0; t < threads_; ++t) {
-      if (pos_[t] >= ops_[t].size()) continue;
-      if (parked(t)) {
-        state.waiting.push_back(ops_[t][pos_[t] - 1].text);
-        state.resources.push_back("barrier");
-      } else {
-        const POp& op = ops_[t][pos_[t]];
-        state.waiting.push_back(op.text);
-        state.resources.push_back((op.verb == Verb::Lock ? "mutex " : "channel ") +
-                                  op.arg);
-      }
-    }
-    state.witness.reserve(executed_.size());
-    for (const Event& ev : executed_) state.witness.push_back(ev.op->text);
-    result_.deadlocks.push_back(std::move(state));
   }
 
   void emit() {
@@ -483,10 +340,9 @@ class Engine {
     // pure function of the emission order.
     while (pending_.size() > kFoldDelay) merge_next();
 
-    std::vector<std::string> schedule;
-    schedule.reserve(executed_.size());
-    for (const Event& ev : executed_) schedule.push_back(ev.op->text);
-    ReplayResult replayed = replay(schedule, ReplayOptions{options_.model_blocking});
+    Detector detector;
+    ReplayResult replayed =
+        replay(state_.trail(), detector, ReplayOptions{options_.model_blocking});
     pending_.push_back({std::move(replayed.races), replayed.events});
     ++emitted_;
     events_emitted_ += executed_.size();
@@ -520,27 +376,22 @@ class Engine {
     hint_pairs_.emplace_back(a, b);
   }
 
-  const std::vector<std::vector<POp>>& ops_;
+  const std::vector<std::vector<ParsedOp>>& ops_;
   const ExploreOptions& options_;
   std::set<std::uint32_t> independent_vars_;     ///< pruned var ids (dep())
   std::set<std::uint32_t> independent_mutexes_;  ///< pure-guard mutex ids (dep())
   std::size_t threads_;
   std::size_t total_ops_ = 0;
 
-  // Walk state.
-  std::vector<std::size_t> pos_;
+  // Walk state. The blocking state moves with every execute/undo; only
+  // model_blocking reads its enabledness.
+  BlockingState state_;
   std::vector<int> last_event_of_;
   std::vector<Event> executed_;
   std::vector<Frame> frames_;
   bool stop_ = false;
   bool truncated_ = false;
-
-  // Blocking-semantics state (model_blocking only; kept in lockstep by
-  // execute/undo).
-  std::vector<int> mutex_holder_;           ///< holding thread, -1 = free
-  std::vector<std::size_t> channel_fill_;   ///< pending sends per channel
-  std::vector<std::size_t> arrivals_;       ///< barrier arrivals per thread
-  std::set<std::string> deadlock_seen_;     ///< position-vector keys
+  std::set<std::vector<std::size_t>> deadlock_seen_;  ///< position vectors
 
   // Guidance state (mutated only at deterministic fold points).
   std::set<std::string> hint_labels_;
@@ -562,8 +413,8 @@ class Engine {
 // Explorer
 // ---------------------------------------------------------------------
 
-Explorer::Explorer(std::vector<std::vector<std::string>> scripts, ExploreOptions options)
-    : scripts_(std::move(scripts)), options_(std::move(options)) {
+Explorer::Explorer(ScriptIr ir, ExploreOptions options)
+    : ir_(std::move(ir)), options_(std::move(options)) {
   // Dependence pruning is only sound when critical sections actually
   // exclude each other — without blocking, the enumerator happily
   // interleaves two "consistently locked" accesses inside one critical
@@ -573,56 +424,24 @@ Explorer::Explorer(std::vector<std::vector<std::string>> scripts, ExploreOptions
               options_.model_blocking,
           "explore: independent_vars/independent_mutexes require model_blocking "
           "(lockset-based independence is unsound without real mutual exclusion)");
-  // Validate eagerly: parse every op and check per-thread lock
-  // discipline (an unlock with no program-order lock would make the
-  // detector throw mid-exploration).
-  OpInterner vars, mutexes, channels;
-  const auto tagged = tag_threads(scripts_);
-  for (const auto& script : tagged) {
-    std::multiset<std::uint32_t> held;
-    for (const std::string& text : script) {
-      const POp op = parse_op(text, vars, mutexes, channels);
-      if (op.verb == Verb::Lock) held.insert(op.obj);
-      if (op.verb == Verb::Unlock) {
-        const auto it = held.find(op.obj);
-        require(it != held.end(),
-                "explore op '" + text + "' releases a mutex its thread never locked");
-        held.erase(it);
-      }
-    }
-  }
+  // An unlock with no program-order lock would make the detector throw
+  // mid-exploration: reject it here.
+  check_lock_discipline(ir_);
 }
 
-ExploreResult Explorer::run() {
-  const auto tagged = tag_threads(scripts_);
-  OpInterner vars, mutexes, channels;
-  std::vector<std::vector<POp>> ops(tagged.size());
-  for (std::size_t t = 0; t < tagged.size(); ++t) {
-    ops[t].reserve(tagged[t].size());
-    for (const std::string& text : tagged[t]) {
-      ops[t].push_back(parse_op(text, vars, mutexes, channels));
-    }
-  }
-  bool saturated = false;
-  const std::uint64_t total = os::interleaving_count(tagged, saturated);
-  std::set<std::uint32_t> independent;
-  for (const std::string& name : options_.independent_vars) {
-    const auto it = vars.ids.find(name);
-    if (it != vars.ids.end()) independent.insert(it->second);
-  }
-  std::set<std::uint32_t> pure_guards;
-  for (const std::string& name : options_.independent_mutexes) {
-    const auto it = mutexes.ids.find(name);
-    if (it != mutexes.ids.end()) pure_guards.insert(it->second);
-  }
-  Engine engine(ops, options_, total, saturated, std::move(independent),
-                std::move(pure_guards), mutexes.ids.size(), channels.ids.size());
-  return engine.run();
+Explorer::Explorer(const std::vector<std::vector<std::string>>& scripts,
+                   ExploreOptions options)
+    : Explorer(parse_scripts(scripts), std::move(options)) {}
+
+ExploreResult Explorer::run() { return Engine(ir_, options_).run(); }
+
+ExploreResult explore_races(ScriptIr ir, ExploreOptions options) {
+  return Explorer(std::move(ir), std::move(options)).run();
 }
 
 ExploreResult explore_races(const std::vector<std::vector<std::string>>& scripts,
                             ExploreOptions options) {
-  return Explorer(scripts, std::move(options)).run();
+  return explore_races(parse_scripts(scripts), std::move(options));
 }
 
 std::string ExploreResult::summary() const {

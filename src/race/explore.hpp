@@ -15,7 +15,7 @@
 // schedules — the differential tier in tests/race_explore_test.cpp
 // asserts exactly that on an exhaustively-enumerable corpus.
 //
-// Dependence relation (derived from the script grammar in replay.hpp;
+// Dependence relation (over the parsed script IR of race/script.hpp;
 // two ops of different threads are dependent iff):
 //   - read/write or write/write on the same variable (read/read
 //     commutes: the detector keeps reader sites sorted by thread id);
@@ -38,12 +38,13 @@
 // — a subtree's exploration can add backtrack points at ANY ancestor, so
 // subtrees are not independent units of work — and the walk replays
 // each schedule it emits through a fresh FastTrack detector on the
-// calling thread. An exploration starts no thread: its callers (grader
-// workers, demos) already run one exploration per thread. A replay's
-// result folds into the result and the guidance a fixed 32 emissions
-// after its schedule was emitted, so the hint set at every decision
-// point — and therefore every byte of the output — is a pure function
-// of the scripts and options.
+// calling thread, handing race::replay the executed ops themselves
+// (parsed once, never re-rendered to strings). An exploration starts
+// no thread: its callers (grader workers, demos) already run one
+// exploration per thread. A replay's result folds into the result and
+// the guidance a fixed 32 emissions after its schedule was emitted, so
+// the hint set at every decision point — and therefore every byte of
+// the output — is a pure function of the scripts and options.
 //
 // Budgeted mode: `max_schedules` / `max_events` replace the exhaustive
 // path's hard multinomial throw. When a budget binds, the result says
@@ -141,15 +142,19 @@ struct ExploreResult {
   [[nodiscard]] std::string summary() const;
 };
 
-/// The DPOR explorer over untagged per-thread scripts (same input shape
-/// as replay_all_interleavings; tagging happens internally). The
-/// constructor parses and validates every op up front — malformed ops,
-/// a release without a program-order acquire, or independent_vars
-/// without model_blocking (the pruning is unsound when critical
-/// sections can overlap) throw here, never mid-run.
+/// The DPOR explorer over parsed per-thread scripts. The constructor
+/// validates up front — a release without a program-order acquire
+/// (check_lock_discipline), or independent_vars without model_blocking
+/// (the pruning is unsound when critical sections can overlap) throw
+/// here, never mid-run.
 class Explorer {
  public:
-  explicit Explorer(std::vector<std::vector<std::string>> scripts,
+  explicit Explorer(ScriptIr ir, ExploreOptions options = {});
+
+  /// Untagged scripts (the replay_all_interleavings input shape):
+  /// Explorer(parse_scripts(scripts), options), so malformed ops throw
+  /// here too.
+  explicit Explorer(const std::vector<std::vector<std::string>>& scripts,
                     ExploreOptions options = {});
 
   /// Run one exploration on the calling thread. Deterministic: same
@@ -159,11 +164,14 @@ class Explorer {
   [[nodiscard]] const ExploreOptions& options() const { return options_; }
 
  private:
-  std::vector<std::vector<std::string>> scripts_;
+  ScriptIr ir_;
   ExploreOptions options_;
 };
 
-/// One-shot convenience: Explorer(scripts, options).run().
+/// One-shot convenience: Explorer(ir, options).run().
+[[nodiscard]] ExploreResult explore_races(ScriptIr ir, ExploreOptions options = {});
+
+/// explore_races(parse_scripts(scripts), options).
 [[nodiscard]] ExploreResult explore_races(
     const std::vector<std::vector<std::string>>& scripts, ExploreOptions options = {});
 

@@ -1,36 +1,12 @@
 #include "race/replay.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "os/interleave.hpp"
 
 namespace cs31::race {
-namespace {
-
-struct Op {
-  std::string tag;   // "t0", "t1", ...
-  std::string verb;  // read/write/lock/unlock/send/recv/barrier
-  std::string arg;   // variable/lock/channel name (empty for barrier)
-};
-
-Op parse_op(const std::string& text) {
-  std::istringstream in(text);
-  Op op;
-  in >> op.tag >> op.verb >> op.arg;
-  require(op.tag.size() >= 2 && op.tag[0] == 't', "replay op '" + text +
-                                                      "' is missing its thread tag (t<k>)");
-  require(!op.verb.empty(), "replay op '" + text + "' is missing a verb");
-  const bool needs_arg = op.verb != "barrier";
-  require(!needs_arg || !op.arg.empty(),
-          "replay op '" + text + "' needs an operand (variable/lock/channel)");
-  return op;
-}
-
-}  // namespace
 
 std::vector<std::vector<std::string>> tag_threads(
     const std::vector<std::vector<std::string>>& scripts) {
@@ -57,66 +33,78 @@ ReplayResult replay(const std::vector<std::string>& interleaving, ReplayOptions 
 
 ReplayResult replay(const std::vector<std::string>& interleaving, EventSink& sink,
                     ReplayOptions options) {
-  // Pre-scan for the set of threads so a barrier knows its waiter count.
-  std::set<std::string> tags;
-  for (const std::string& text : interleaving) tags.insert(parse_op(text).tag);
+  const std::vector<ParsedOp> ops = parse_tagged(interleaving);
+  std::vector<const ParsedOp*> schedule;
+  schedule.reserve(ops.size());
+  for (const ParsedOp& op : ops) schedule.push_back(&op);
+  ReplayResult result = replay(schedule, sink, options);
+  result.schedule = interleaving;
+  return result;
+}
 
-  std::map<std::string, ThreadId> tids;
-  // Replay threads are concurrent roots: register in tag order for
-  // stable ids (the first tag reuses the sink's pre-registered thread 0).
-  bool first = true;
-  for (const std::string& tag : tags) {
-    tids[tag] = first ? 0 : sink.register_thread();
-    first = false;
-  }
+ReplayResult replay(const std::vector<const ParsedOp*>& schedule, EventSink& sink,
+                    ReplayOptions options) {
+  // The threads present, in script order: a barrier waits for all of
+  // them, and the first reuses the sink's pre-registered thread 0.
+  std::vector<std::uint32_t> present;
+  for (const ParsedOp* op : schedule) present.push_back(op->thread);
+  std::sort(present.begin(), present.end());
+  present.erase(std::unique(present.begin(), present.end()), present.end());
+  std::vector<ThreadId> tids(present.size(), 0);
+  for (std::size_t i = 1; i < tids.size(); ++i) tids[i] = sink.register_thread();
 
-  // Blocking bookkeeping (model_blocking only): who holds each mutex,
-  // how many sends each channel has pending. A thread in `at_barrier`
-  // is parked until the cycle completes — under blocking, any op it
-  // tries to run before that makes the schedule infeasible.
-  std::map<std::string, ThreadId> holder;
-  std::map<std::string, std::size_t> filled;
+  // Blocking bookkeeping (model_blocking only), by object id: which
+  // mutexes are held, how many sends each channel has pending. A thread
+  // in `at_barrier` is parked until the cycle completes — under
+  // blocking, any op it tries to run before that makes the schedule
+  // infeasible.
+  std::vector<std::uint8_t> held;
+  std::vector<std::size_t> filled;
+  const auto slot = [](auto& table, std::uint32_t id) -> auto& {
+    if (id >= table.size()) table.resize(id + 1);
+    return table[id];
+  };
 
   ReplayResult result;
-  result.schedule = interleaving;
-
   std::set<ThreadId> at_barrier;
-  for (const std::string& text : interleaving) {
-    const Op op = parse_op(text);
-    const ThreadId t = tids.at(op.tag);
+  for (const ParsedOp* op : schedule) {
+    const ThreadId t =
+        tids[std::lower_bound(present.begin(), present.end(), op->thread) - present.begin()];
     if (options.model_blocking) {
       bool blocked = at_barrier.count(t) != 0;
-      if (!blocked && op.verb == "lock") blocked = holder.count(op.arg) != 0;
-      if (!blocked && op.verb == "recv") blocked = filled[op.arg] == 0;
+      if (!blocked && op->verb == ScriptVerb::Lock) blocked = slot(held, op->object) != 0;
+      if (!blocked && op->verb == ScriptVerb::Recv) blocked = slot(filled, op->object) == 0;
       if (blocked) {
         result.feasible = false;
         break;
       }
     }
-    if (op.verb == "read") {
-      sink.read(t, op.arg, text);
-    } else if (op.verb == "write") {
-      sink.write(t, op.arg, text);
-    } else if (op.verb == "lock") {
-      sink.acquire(t, op.arg);
-      if (options.model_blocking) holder[op.arg] = t;
-    } else if (op.verb == "unlock") {
-      sink.release(t, op.arg);
-      if (options.model_blocking) holder.erase(op.arg);
-    } else if (op.verb == "send") {
-      sink.channel_send(t, op.arg);
-      if (options.model_blocking) ++filled[op.arg];
-    } else if (op.verb == "recv") {
-      sink.channel_recv(t, op.arg);
-      if (options.model_blocking) --filled[op.arg];
-    } else if (op.verb == "barrier") {
-      at_barrier.insert(t);
-      if (at_barrier.size() == tids.size()) {
-        sink.barrier(std::vector<ThreadId>(at_barrier.begin(), at_barrier.end()));
-        at_barrier.clear();
-      }
-    } else {
-      throw Error("replay op '" + text + "': unknown verb '" + op.verb + "'");
+    switch (op->verb) {
+      case ScriptVerb::Read: sink.read(t, op->operand, op->text); break;
+      case ScriptVerb::Write: sink.write(t, op->operand, op->text); break;
+      case ScriptVerb::Lock:
+        sink.acquire(t, op->operand);
+        if (options.model_blocking) slot(held, op->object) = 1;
+        break;
+      case ScriptVerb::Unlock:
+        sink.release(t, op->operand);
+        if (options.model_blocking) slot(held, op->object) = 0;
+        break;
+      case ScriptVerb::Send:
+        sink.channel_send(t, op->operand);
+        if (options.model_blocking) ++slot(filled, op->object);
+        break;
+      case ScriptVerb::Recv:
+        sink.channel_recv(t, op->operand);
+        if (options.model_blocking) --slot(filled, op->object);
+        break;
+      case ScriptVerb::Barrier:
+        at_barrier.insert(t);
+        if (at_barrier.size() == tids.size()) {
+          sink.barrier(std::vector<ThreadId>(at_barrier.begin(), at_barrier.end()));
+          at_barrier.clear();
+        }
+        break;
     }
     ++result.executed;
   }
@@ -173,175 +161,40 @@ std::vector<RaceReport> distinct_races(const std::vector<ReplayResult>& results)
   return out;
 }
 
-std::string DeadlockState::to_string() const {
-  std::string out = "deadlock after " + std::to_string(witness.size()) + " step(s):";
-  for (std::size_t i = 0; i < waiting.size(); ++i) {
-    out += i == 0 ? " " : "; ";
-    out += "'" + waiting[i] + "' waits on " + resources[i];
-  }
-  return out;
-}
-
-namespace {
-
-/// Memoized DFS over position vectors (see find_deadlocks in the
-/// header). State mutates in place with execute/undo; `visited` keys on
-/// the position vector, which determines the rest of the state exactly
-/// because scripts are straight-line.
-struct DeadlockSearch {
-  const std::vector<std::vector<Op>>& ops;
-  std::size_t max_states;
-
-  std::vector<std::size_t> pos;
-  std::map<std::string, std::size_t> holder;  // mutex -> thread index
-  std::map<std::string, std::size_t> filled;  // channel -> pending sends
-  std::vector<std::size_t> arrivals;
-  std::vector<std::string> trail;
-  std::set<std::vector<std::size_t>> visited;
-  DeadlockSearchResult out;
-
-  DeadlockSearch(const std::vector<std::vector<Op>>& o, std::size_t m)
-      : ops(o), max_states(m), pos(o.size(), 0), arrivals(o.size(), 0) {}
-
-  /// Cycles completed so far: the slowest participating thread's
-  /// arrival count. Threads with empty scripts never arrive and never
-  /// count (they are not in the schedule's waiter set).
-  [[nodiscard]] std::size_t completed_cycles() const {
-    std::size_t completed = ~std::size_t{0};
-    bool any = false;
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      if (ops[t].empty()) continue;
-      completed = any ? std::min(completed, arrivals[t]) : arrivals[t];
-      any = true;
-    }
-    return any ? completed : 0;
-  }
-
-  [[nodiscard]] bool parked(std::size_t t) const {
-    return arrivals[t] > completed_cycles();
-  }
-
-  [[nodiscard]] bool enabled(std::size_t t) const {
-    if (pos[t] >= ops[t].size() || parked(t)) return false;
-    const Op& op = ops[t][pos[t]];
-    if (op.verb == "lock") return holder.count(op.arg) == 0;
-    if (op.verb == "recv") {
-      const auto it = filled.find(op.arg);
-      return it != filled.end() && it->second > 0;
-    }
-    return true;
-  }
-
-  void execute(std::size_t t) {
-    const Op& op = ops[t][pos[t]];
-    if (op.verb == "lock") {
-      holder[op.arg] = t;
-    } else if (op.verb == "unlock") {
-      holder.erase(op.arg);
-    } else if (op.verb == "send") {
-      ++filled[op.arg];
-    } else if (op.verb == "recv") {
-      --filled[op.arg];
-    } else if (op.verb == "barrier") {
-      ++arrivals[t];
-    }
-    trail.push_back(op.tag + ' ' + op.verb + (op.arg.empty() ? "" : ' ' + op.arg));
-    ++pos[t];
-  }
-
-  void undo(std::size_t t) {
-    --pos[t];
-    trail.pop_back();
-    const Op& op = ops[t][pos[t]];
-    if (op.verb == "lock") {
-      holder.erase(op.arg);
-    } else if (op.verb == "unlock") {
-      holder[op.arg] = t;
-    } else if (op.verb == "send") {
-      --filled[op.arg];
-    } else if (op.verb == "recv") {
-      ++filled[op.arg];
-    } else if (op.verb == "barrier") {
-      --arrivals[t];
-    }
-  }
-
-  void record_deadlock() {
-    DeadlockState state;
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      if (pos[t] >= ops[t].size()) continue;
-      if (parked(t)) {
-        state.waiting.push_back(ops[t][pos[t] - 1].tag + " barrier");
-        state.resources.push_back("barrier");
-      } else {
-        const Op& op = ops[t][pos[t]];
-        state.waiting.push_back(op.tag + ' ' + op.verb + ' ' + op.arg);
-        state.resources.push_back((op.verb == "lock" ? "mutex " : "channel ") + op.arg);
-      }
-    }
-    state.witness = trail;
-    out.deadlocks.push_back(std::move(state));
-  }
-
-  void visit() {
-    if (visited.count(pos) != 0) return;
-    if (out.states_visited >= max_states) {
-      out.complete = false;
-      return;
-    }
-    visited.insert(pos);
-    ++out.states_visited;
-
-    bool all_done = true;
-    bool any_enabled = false;
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      if (pos[t] < ops[t].size()) all_done = false;
-      if (enabled(t)) any_enabled = true;
-    }
-    if (!any_enabled) {
-      if (!all_done) record_deadlock();
-      return;
-    }
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      if (!enabled(t)) continue;
-      execute(t);
-      visit();
-      undo(t);
-    }
-  }
-};
-
-}  // namespace
-
 DeadlockSearchResult find_deadlocks(const std::vector<std::vector<std::string>>& scripts,
                                     std::size_t max_states) {
   // Parse + validate up front, Explorer-style: malformed ops and
   // unlock-without-lock throw here, never mid-search.
-  std::vector<std::vector<Op>> ops(scripts.size());
-  for (std::size_t t = 0; t < scripts.size(); ++t) {
-    std::multiset<std::string> held;
-    const std::string tag = "t" + std::to_string(t);
-    ops[t].reserve(scripts[t].size());
-    for (const std::string& text : scripts[t]) {
-      Op op = parse_op(tag + ' ' + text);
-      const bool known = op.verb == "read" || op.verb == "write" || op.verb == "lock" ||
-                         op.verb == "unlock" || op.verb == "send" || op.verb == "recv" ||
-                         op.verb == "barrier";
-      require(known, "deadlock search op '" + text + "': unknown verb '" + op.verb + "'");
-      if (op.verb == "lock") held.insert(op.arg);
-      if (op.verb == "unlock") {
-        const auto it = held.find(op.arg);
-        require(it != held.end(), "deadlock search: '" + tag + ' ' + text +
-                                      "' releases a lock with no program-order acquire");
-        held.erase(it);
-      }
-      ops[t].push_back(std::move(op));
-    }
-  }
+  const ScriptIr ir = parse_scripts(scripts);
+  check_lock_discipline(ir);
+  std::size_t ops = 0;
+  for (const auto& thread : ir.threads()) ops += thread.size();
 
-  DeadlockSearch search(ops, max_states);
-  search.visit();
-  return std::move(search.out);
+  // Memoized DFS over position vectors, which determine the rest of the
+  // blocking state because scripts are straight-line.
+  BlockingState state(ir);
+  std::set<std::vector<std::size_t>> visited;
+  DeadlockSearchResult out;
+  const auto visit = [&](const auto& self) -> void {
+    if (visited.count(state.positions()) != 0) return;
+    if (out.states_visited >= max_states) {
+      out.complete = false;
+      return;
+    }
+    visited.insert(state.positions());
+    ++out.states_visited;
+    bool any_enabled = false;
+    for (std::uint32_t t = 0; t < ir.threads().size(); ++t) {
+      if (!state.enabled(t)) continue;
+      any_enabled = true;
+      state.execute(t);
+      self(self);
+      state.undo(t);
+    }
+    if (!any_enabled && state.trail().size() < ops) out.deadlocks.push_back(state.stuck());
+  };
+  visit(visit);
+  return out;
 }
 
 }  // namespace cs31::race

@@ -6,20 +6,15 @@
 // the interleaving enumerator produce every schedule, and replay each
 // through the detector to see which schedules expose which races.
 //
-// Script grammar (one op per string, thread tag added by tag_threads or
-// already present in an interleaved stream):
-//   "t<k> read <var>"    read of a shared variable
-//   "t<k> write <var>"   write of a shared variable
-//   "t<k> lock <m>"      mutex acquire
-//   "t<k> unlock <m>"    mutex release
-//   "t<k> send <ch>"     producer publish into channel <ch>
-//   "t<k> recv <ch>"     consumer take from channel <ch>
-//   "t<k> barrier"       this thread arrives at the (single, implicit)
-//                        barrier; the HB edge forms when every thread
-//                        that ever appears in the schedule has arrived
+// The script grammar and its parser live in race/script.hpp; replay
+// reads a tagged interleaving ("t<k> <op>" per element). A barrier's
+// happens-before edge forms when every thread that appears in the
+// replayed schedule has arrived.
 //
 // Replay threads are registered as concurrent roots (no fork edges):
-// exactly the model of the homework's already-running processes. Note
+// exactly the model of the homework's already-running processes. The
+// threads present in a schedule take detector ids in script order
+// (t2 before t10), the lowest reusing the sink's thread 0. Note
 // that by default replay models happens-before edges, not blocking —
 // schedules that real mutual exclusion would forbid (two threads
 // "inside" one lock at once) are still replayed, which is itself a
@@ -41,6 +36,7 @@
 #include <vector>
 
 #include "race/detector.hpp"
+#include "race/script.hpp"
 
 namespace cs31::race {
 
@@ -83,8 +79,15 @@ struct ReplayResult {
 /// Same, but through a caller-supplied detector implementation — the
 /// differential harness replays one schedule into both the FastTrack
 /// and the reference detector this way. The sink must be fresh (no
-/// prior events); thread tags are registered in tag order.
+/// prior events).
 [[nodiscard]] ReplayResult replay(const std::vector<std::string>& interleaving,
+                                  EventSink& sink, ReplayOptions options = {});
+
+/// The replay loop both overloads above run, on parsed ops (pointers
+/// into a ScriptIr or a parse_tagged result): the Explorer hands it
+/// each schedule it walks this way, with no string round trip.
+/// `result.schedule` stays empty.
+[[nodiscard]] ReplayResult replay(const std::vector<const ParsedOp*>& schedule,
                                   EventSink& sink, ReplayOptions options = {});
 
 /// Enumerate every interleaving of the scripts (program order preserved
@@ -116,21 +119,6 @@ struct ReplayStats {
 [[nodiscard]] std::vector<RaceReport> distinct_races(
     const std::vector<ReplayResult>& results);
 
-/// One reachable stuck state under blocking semantics: some thread
-/// still has ops, nobody can move. `waiting`/`resources` are parallel
-/// — the blocked op of each unfinished thread and what it waits on in
-/// the analyze::concur resource spelling ("mutex a", "channel q0",
-/// "barrier"); a thread parked inside the barrier reports its barrier
-/// op. `witness` is a feasible tagged schedule prefix reaching the
-/// state (replayable with model_blocking to confirm).
-struct DeadlockState {
-  std::vector<std::string> waiting;
-  std::vector<std::string> resources;
-  std::vector<std::string> witness;
-
-  [[nodiscard]] std::string to_string() const;
-};
-
 struct DeadlockSearchResult {
   /// Distinct stuck states (one per position vector), in deterministic
   /// lowest-thread-first DFS discovery order.
@@ -148,8 +136,9 @@ struct DeadlockSearchResult {
 /// of the per-thread position vector, so a memoized DFS over position
 /// vectors covers every reachable state without enumerating schedules:
 /// the state space is at most prod(len_t + 1), not the multinomial.
+/// Runs on the same BlockingState as the Explorer's blocking walk.
 /// Throws cs31::Error on malformed ops or an unlock with no
-/// program-order lock (same validation as Explorer).
+/// program-order lock (check_lock_discipline, as Explorer does).
 [[nodiscard]] DeadlockSearchResult find_deadlocks(
     const std::vector<std::vector<std::string>>& scripts,
     std::size_t max_states = std::size_t{1} << 20);

@@ -212,6 +212,15 @@ TEST(Toolchain, LifeOverBudgetScenarioTimesOutBeforeTracing) {
             "race_free");
   EXPECT_EQ(run_toolchain({"s", SubmissionKind::LifeTrace, rounds(313)}, test_limits()).status,
             "timeout");
+  // rounds=0 still traces the grid once, and the check reads the
+  // header: a 3000 x 3000 grid is refused before its cells exist.
+  const auto big_start = std::chrono::steady_clock::now();
+  const std::string big_body = "threads=1\nrounds=0\n3000 3000\n0\n";
+  const Verdict big =
+      run_toolchain({"s", SubmissionKind::LifeTrace, big_body}, test_limits());
+  EXPECT_LT(std::chrono::steady_clock::now() - big_start, std::chrono::seconds(5));
+  EXPECT_EQ(big.status, "timeout") << big.to_json();
+  EXPECT_EQ(big.events, 0u);
 }
 
 TEST(Toolchain, LifeOverflowingGridIsInvalid) {
@@ -222,6 +231,46 @@ TEST(Toolchain, LifeOverflowingGridIsInvalid) {
       test_limits());
   EXPECT_EQ(v.status, "invalid") << v.to_json();
   EXPECT_EQ(v.score, 0);
+}
+
+TEST(Toolchain, AssemblyImageTooLargeToLoadIsACompileError) {
+  // 16-byte instructions from 0x1000: 65280 fill the 1 MiB machine
+  // exactly, one more does not fit. Nothing ran, so it is a compile
+  // error with the load failure as its only note.
+  std::string body;
+  for (int i = 0; i < 65281; ++i) body += "hlt\n";
+  EXPECT_EQ(run_toolchain({"s", SubmissionKind::Assembly, body}, test_limits()).to_json(),
+            R"j({"status":"compile_error","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["image does not fit in memory"]})j");
+  body.resize(body.size() - 4);
+  EXPECT_EQ(run_toolchain({"s", SubmissionKind::Assembly, body}, test_limits()).status,
+            "ok_with_findings");
+}
+
+TEST(Toolchain, ScriptVerdictsAreGolden) {
+  // Exact verdicts for the script strings a grader note can carry: the
+  // parse errors, the Explorer's lock discipline (a multiset, so a
+  // re-lock pair is accepted and deadlocks) beside concur's lenient
+  // walk, ignored trailing tokens with the op's own spacing in the race
+  // note, and a barrier-count mismatch.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"spin c",
+       R"j({"status":"invalid","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["concur op 'spin c': unknown verb 'spin'"]})j"},
+      {"lock",
+       R"j({"status":"invalid","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["concur op 'lock' needs a mutex"]})j"},
+      {"unlock m",
+       R"j({"status":"invalid","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["error[unlock-without-lock] line 1 in 't0': unlock of 'm' without a matching program-order lock (the dynamic tier rejects this script)","explore op 't0 unlock m' releases a mutex its thread never locked"]})j"},
+      {"lock m; lock m; unlock m; unlock m",
+       R"j({"status":"deadlock_found","score":20,"result":1,"instructions":0,"events":1,"races":0,"notes":["error[self-deadlock] line 2 in 't0': re-lock of held mutex 'm': this thread blocks on itself in every schedule that reaches this op","error[unlock-without-lock] line 4 in 't0': unlock of 'm' without a matching program-order lock (the dynamic tier rejects this script)","deadlock after 1 step(s): 't0 lock m' waits on mutex m"]})j"},
+      {"write  x  junk\nread x",
+       R"j({"status":"race_found","score":30,"result":2,"instructions":0,"events":4,"races":1,"notes":["warning[static-race] line 1 in 't0': 'x' may race: 't0 write  x  junk' and 't1 read x' can run unordered; locksets {} vs {} share no lock and no barrier orders the pair\n    note: second access: 't1 read x' (t1 op 1)","race on x: t0 write  x  junk vs t1 read x"]})j"},
+      {"barrier; barrier\nbarrier",
+       R"j({"status":"race_free","score":95,"result":2,"instructions":0,"events":2,"races":0,"notes":["error[barrier-starvation] line 2 in 't0': barrier arrival 2 can never complete: t1 arrive(s) only 1 time(s)"]})j"},
+  };
+  for (const auto& [body, golden] : cases) {
+    EXPECT_EQ(run_toolchain({"s", SubmissionKind::Script, body}, test_limits()).to_json(),
+              golden)
+        << body;
+  }
 }
 
 TEST(Toolchain, ScriptCleanIsCertifiedRaceFree) {

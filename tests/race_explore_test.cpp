@@ -303,6 +303,28 @@ TEST(Explore, TrivialScriptsExploreTheirSingleSchedule) {
   EXPECT_TRUE(solo.races.empty());
 }
 
+TEST(Explore, ThreadIdsFollowScriptOrderPastTenThreads) {
+  // Twelve threads, t0 and t10 racing on x: each report side's thread
+  // id is its script index (t10 is thread 10, not the second tag in
+  // string order).
+  std::vector<std::vector<std::string>> scripts(12);
+  for (std::size_t t = 0; t < scripts.size(); ++t) {
+    scripts[t] = {t == 0 || t == 10 ? "write x" : "write p" + std::to_string(t)};
+  }
+  const ExploreResult res = explore_races(scripts);
+  ASSERT_EQ(res.races.size(), 1u);
+  for (const AccessSite* side : {&res.races[0].first, &res.races[0].second}) {
+    EXPECT_EQ("t" + std::to_string(side->thread) + " write x", side->where);
+  }
+
+  // A schedule that leaves threads out numbers the ones present, in
+  // script order: t0, t2, t10 are threads 0, 1, 2.
+  const ReplayResult replayed = replay({"t0 write x", "t10 write x", "t2 read p"});
+  ASSERT_EQ(replayed.races.size(), 1u);
+  EXPECT_EQ(replayed.races[0].second.where, "t10 write x");
+  EXPECT_EQ(replayed.races[0].second.thread, 2u);
+}
+
 TEST(Explore, ConstructorRejectsMalformedScripts) {
   const auto make = [](std::vector<std::vector<std::string>> scripts) {
     return Explorer(std::move(scripts));
