@@ -33,8 +33,8 @@
 //     the mutex-ordered stream's throughput;
 // (d) shard scaling: analysis capacity — events divided by the busiest
 //     shard's busy time — for 1/2/4 shards on a cell-granularity
-//     replay; *asserts* capacity grows from 1 to 4 shards (on a 1-core
-//     host wall-clock cannot show the win, busy-time can);
+//     replay; *asserts* capacity grows from 1 to 4 shards (busy time
+//     shows the win on any core count, wall-clock cannot on one core);
 // (e) sampling capture: the detection-probability vs overhead curve of
 //     TraceContext's access-event sampling on a barrier-less Life;
 // (f) google-benchmark timings: untraced / FastTrack-traced /
@@ -42,8 +42,17 @@
 //     practical limit of the string-keyed PR 1 detector), and
 //     per-event throughput of both detectors on both API paths.
 //
+// The wall-clock gates (b), (c), (c2) and (c3) run the untraced and
+// traced sides as interleaved pairs (the side that goes first alternates
+// every round) and judge the MEDIAN per-pair ratio; each prints the
+// ratio's interquartile range and round count, and --json carries both.
+// One pair is a few milliseconds on a shared host, so a single
+// descheduled worker can sink any one sample, and a min-of-N taken in
+// separate blocks for each side flips the verdict from run to run.
+//
 // --perf-smoke runs only (c), (c2), and (c3), in seconds not minutes,
-// for ctest.
+// for ctest. The full run executes every asserted section and exits 1
+// if any of them failed.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -52,6 +61,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -110,6 +120,58 @@ double min_seconds_of(int runs, Work&& work) {
 template <typename Work>
 double min_seconds_of_3(Work&& work) {
   return min_seconds_of(3, std::forward<Work>(work));
+}
+
+/// Median and interquartile range of a sample of per-pair ratios.
+struct Spread {
+  double median = 0, q1 = 0, q3 = 0;
+  std::size_t rounds = 0;
+  [[nodiscard]] double iqr() const { return q3 - q1; }
+};
+
+Spread spread_of(std::vector<double> sample) {
+  std::sort(sample.begin(), sample.end());
+  const auto at = [&](double p) {
+    return sample[static_cast<std::size_t>(p * static_cast<double>(sample.size() - 1) + 0.5)];
+  };
+  return Spread{at(0.5), at(0.25), at(0.75), sample.size()};
+}
+
+/// Wall seconds of every side in each of `rounds` interleaved rounds:
+/// times[side][round]. The side that runs first rotates each round, so
+/// no side always inherits the caches and scheduler state another left.
+std::vector<std::vector<double>> interleaved_seconds(
+    std::size_t rounds, const std::vector<std::function<void()>>& sides) {
+  std::vector<std::vector<double>> times(sides.size(), std::vector<double>(rounds));
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t k = 0; k < sides.size(); ++k) {
+      const std::size_t side = (round + k) % sides.size();
+      const auto start = std::chrono::steady_clock::now();
+      sides[side]();
+      times[side][round] = seconds_since(start);
+    }
+  }
+  return times;
+}
+
+/// Per-round ratios num[i] / den[i], summarized.
+Spread ratio_spread(const std::vector<double>& num, const std::vector<double>& den) {
+  std::vector<double> ratios(num.size());
+  for (std::size_t i = 0; i < num.size(); ++i) ratios[i] = num[i] / den[i];
+  return spread_of(std::move(ratios));
+}
+
+double median_of(const std::vector<double>& sample) { return spread_of(sample).median; }
+
+/// The gate's line of output and its JSON trio: `<key>` (the median
+/// ratio), `<key>_iqr` and `<key>_rounds`.
+void report_spread(cs31::bench::JsonReport& json, const std::string& key, const char* label,
+                   const Spread& s) {
+  std::printf("%-34s %12.3f  (median of %zu pairs, IQR %.3f: %.3f..%.3f)\n", label, s.median,
+              s.rounds, s.iqr(), s.q1, s.q3);
+  json.metric(key, s.median);
+  json.metric(key + "_iqr", s.iqr());
+  json.metric(key + "_rounds", static_cast<std::uint64_t>(s.rounds));
 }
 
 /// The deterministic before/after run. Returns false when the >= 2x
@@ -228,6 +290,7 @@ bool report_realthread(cs31::bench::JsonReport& json) {
   constexpr std::size_t kSide = 64;
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kRounds = 10;
+  constexpr std::size_t kPairs = 11;
   const Grid initial = Grid::random(kSide, kSide, 0.3, 7);
 
   std::printf("==============================================================\n");
@@ -236,36 +299,39 @@ bool report_realthread(cs31::bench::JsonReport& json) {
   std::printf("workload: %zux%zu Life, %zu real threads, %zu rounds, row granularity\n\n",
               kSide, kSide, kThreads, kRounds);
 
-  const double untraced_s = min_seconds_of_3([&] {
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds);
-  });
-
   bool hb_race_free = false;
   std::size_t lockset_reports = 0;
   std::uint64_t captured = 0, drains = 0;
   std::vector<cs31::trace::BufferStats> buffers;
-  const double traced_s = min_seconds_of_3([&] {
-    cs31::trace::TraceContext ctx;
-    cs31::race::LocksetDetector lockset;
-    cs31::trace::MetricsSink metrics;
-    ctx.attach_sink(lockset);
-    ctx.attach_sink(metrics);
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds, {.ctx = &ctx, .report_barrier = true,
-                       .granularity = cs31::life::TraceGranularity::Row});
-    ctx.flush();
-    hb_race_free = ctx.detector().race_free();
-    lockset_reports = lockset.races().size();
-    captured = ctx.events_captured();
-    drains = ctx.drains();
-    buffers = ctx.buffer_stats();
-  });
+  const auto times = interleaved_seconds(
+      kPairs, {[&] {
+                 cs31::life::ParallelLife life(initial, kThreads);
+                 life.run(kRounds);
+               },
+               [&] {
+                 cs31::trace::TraceContext ctx;
+                 cs31::race::LocksetDetector lockset;
+                 cs31::trace::MetricsSink metrics;
+                 ctx.attach_sink(lockset);
+                 ctx.attach_sink(metrics);
+                 cs31::life::ParallelLife life(initial, kThreads);
+                 life.run(kRounds, {.ctx = &ctx, .report_barrier = true,
+                                    .granularity = cs31::life::TraceGranularity::Row});
+                 ctx.flush();
+                 hb_race_free = ctx.detector().race_free();
+                 lockset_reports = lockset.races().size();
+                 captured = ctx.events_captured();
+                 drains = ctx.drains();
+                 buffers = ctx.buffer_stats();
+               }});
+  const double untraced_s = median_of(times[0]);
+  const double traced_s = median_of(times[1]);
+  const Spread ratio = ratio_spread(times[1], times[0]);
+  const double overhead = ratio.median;
 
-  const double overhead = traced_s / untraced_s;
-  std::printf("%-34s %12.2f\n", "untraced wall time (ms)", untraced_s * 1e3);
-  std::printf("%-34s %12.2f\n", "traced wall time (ms)", traced_s * 1e3);
-  std::printf("%-34s %12.2f\n", "overhead (x, ceiling 3.0)", overhead);
+  std::printf("%-34s %12.2f\n", "untraced wall time (ms, median)", untraced_s * 1e3);
+  std::printf("%-34s %12.2f\n", "traced wall time (ms, median)", traced_s * 1e3);
+  report_spread(json, "inline_3sink_overhead_x", "overhead (x, ceiling 3.0)", ratio);
   std::printf("%-34s %12llu\n", "events captured",
               static_cast<unsigned long long>(captured));
   std::printf("%-34s %12llu\n", "drains", static_cast<unsigned long long>(drains));
@@ -280,11 +346,12 @@ bool report_realthread(cs31::bench::JsonReport& json) {
   }
 
   std::printf("\nBENCH_race {\"mode\":\"realthread\",\"grid\":%zu,\"threads\":%zu,"
-              "\"rounds\":%zu,\"untraced_ms\":%.3f,\"traced_ms\":%.3f,\"overhead_x\":%.2f,"
+              "\"rounds\":%zu,\"pairs\":%zu,\"untraced_ms\":%.3f,\"traced_ms\":%.3f,"
+              "\"overhead_x\":%.2f,\"overhead_iqr\":%.3f,"
               "\"events_captured\":%llu,\"drains\":%llu,\"hb_race_free\":%s,"
               "\"lockset_reports\":%zu,\"buffer_high_water\":[",
-              kSide, kThreads, kRounds, untraced_s * 1e3, traced_s * 1e3, overhead,
-              static_cast<unsigned long long>(captured),
+              kSide, kThreads, kRounds, kPairs, untraced_s * 1e3, traced_s * 1e3, overhead,
+              ratio.iqr(), static_cast<unsigned long long>(captured),
               static_cast<unsigned long long>(drains), hb_race_free ? "true" : "false",
               lockset_reports);
   for (std::size_t i = 0; i < buffers.size(); ++i) {
@@ -292,8 +359,6 @@ bool report_realthread(cs31::bench::JsonReport& json) {
                 static_cast<unsigned long long>(buffers[i].high_water));
   }
   std::printf("]}\n\n");
-
-  json.metric("inline_3sink_overhead_x", overhead);
 
   bool ok = true;
   if (!hb_race_free) {
@@ -311,12 +376,12 @@ bool report_realthread(cs31::bench::JsonReport& json) {
 
 /// The PR 4 acceptance run: a traced 4-thread 64x64 ParallelLife::run
 /// with analysis off the critical path in a one-shard AnalysisPipeline.
-/// One shard is deliberate: on a single-core host extra shards add
-/// routing work with no parallel gain (report_shard_scaling shows the
-/// capacity win instead), and one shard is already the full pipeline —
-/// queue, router, off-thread FastTrack, deterministic merge.
-/// Asserts <= 1.25x overhead vs untraced and a certificate
-/// byte-identical to the inline detector's.
+/// One shard is the smallest full pipeline — queue, off-thread
+/// FastTrack, deterministic merge — and the one that adds the fewest
+/// runnable threads next to the four Life workers; report_shard_scaling
+/// measures what more shards buy. Asserts <= 1.25x overhead vs untraced
+/// (median of interleaved pairs) and a certificate byte-identical to the
+/// inline detector's.
 bool report_pipeline(cs31::bench::JsonReport& json) {
   constexpr std::size_t kSide = 64;
   constexpr std::size_t kThreads = 4;
@@ -326,6 +391,7 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
   // floor — 40 rounds amortize it so the ratio measures the steady
   // state.
   constexpr std::size_t kRounds = 40;
+  constexpr std::size_t kPairs = 21;
   constexpr double kCeiling = 1.25;
   const Grid initial = Grid::random(kSide, kSide, 0.3, 7);
 
@@ -334,11 +400,6 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
   std::printf("==============================================================\n\n");
   std::printf("workload: %zux%zu Life, %zu real threads, %zu rounds, row granularity\n\n",
               kSide, kSide, kThreads, kRounds);
-
-  const double untraced_s = min_seconds_of(5, [&] {
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds);
-  });
 
   // The inline certificate the pipeline must reproduce byte for byte.
   std::string inline_summary;
@@ -350,32 +411,40 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
     inline_summary = ctx.detector().summary();
   }
 
-  std::string piped_summary;
+  bool identical = true;
   std::uint64_t piped_events = 0, publish_waits = 0;
-  const double traced_s = min_seconds_of(5, [&] {
-    cs31::trace::AnalysisPipeline pipeline(
-        cs31::trace::AnalysisPipeline::Options{.shards = 1, .queue_capacity = 8});
-    cs31::trace::TraceContext ctx(
-        cs31::trace::TraceContext::Options{.own_detector = false});
-    ctx.attach_pipeline(pipeline);
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds, {.ctx = &ctx});
-    ctx.flush();
-    piped_summary = pipeline.summary();
-    piped_events = pipeline.events();
-    publish_waits = pipeline.publish_waits();
-  });
+  const auto times = interleaved_seconds(
+      kPairs, {[&] {
+                 cs31::life::ParallelLife life(initial, kThreads);
+                 life.run(kRounds);
+               },
+               [&] {
+                 cs31::trace::AnalysisPipeline pipeline(
+                     cs31::trace::AnalysisPipeline::Options{.shards = 1,
+                                                            .queue_capacity = 8});
+                 cs31::trace::TraceContext ctx(
+                     cs31::trace::TraceContext::Options{.own_detector = false});
+                 ctx.attach_pipeline(pipeline);
+                 cs31::life::ParallelLife life(initial, kThreads);
+                 life.run(kRounds, {.ctx = &ctx});
+                 ctx.flush();
+                 identical = identical && pipeline.summary() == inline_summary;
+                 piped_events = pipeline.events();
+                 publish_waits = pipeline.publish_waits();
+               }});
+  const double untraced_s = median_of(times[0]);
+  const double traced_s = median_of(times[1]);
+  const Spread ratio = ratio_spread(times[1], times[0]);
+  const double overhead = ratio.median;
 
-  const double overhead = traced_s / untraced_s;
-  const bool identical = piped_summary == inline_summary;
-  std::printf("%-34s %12.2f\n", "untraced wall time (ms)", untraced_s * 1e3);
-  std::printf("%-34s %12.2f\n", "pipelined wall time (ms)", traced_s * 1e3);
-  std::printf("%-34s %12.2f\n", "overhead (x, ceiling 1.25)", overhead);
+  std::printf("%-34s %12.2f\n", "untraced wall time (ms, median)", untraced_s * 1e3);
+  std::printf("%-34s %12.2f\n", "pipelined wall time (ms, median)", traced_s * 1e3);
+  report_spread(json, "pipelined_overhead_x", "overhead (x, ceiling 1.25)", ratio);
   std::printf("%-34s %12llu\n", "events analyzed off-thread",
               static_cast<unsigned long long>(piped_events));
   std::printf("%-34s %12llu\n", "publish backpressure waits",
               static_cast<unsigned long long>(publish_waits));
-  std::printf("%-34s %12s\n", "certificate vs inline",
+  std::printf("%-34s %12s\n", "certificate vs inline (all runs)",
               identical ? "byte-identical" : "DIFFERS");
   std::printf("  inline: %s\n\n", inline_summary.c_str());
 
@@ -384,7 +453,6 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
   json.config("pipeline_rounds", static_cast<std::uint64_t>(kRounds));
   json.metric("untraced_ms", untraced_s * 1e3);
   json.metric("pipelined_ms", traced_s * 1e3);
-  json.metric("pipelined_overhead_x", overhead);
   json.metric("pipelined_certificate_identical", identical);
 
   bool ok = true;
@@ -393,8 +461,10 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
     ok = false;
   }
   if (overhead > kCeiling) {
-    std::fprintf(stderr, "FAIL: pipelined overhead %.2fx exceeds the %.2fx ceiling\n",
-                 overhead, kCeiling);
+    std::fprintf(stderr,
+                 "FAIL: pipelined overhead %.2fx (median of %zu pairs, IQR %.3f) exceeds "
+                 "the %.2fx ceiling\n",
+                 overhead, ratio.rounds, ratio.iqr(), kCeiling);
     ok = false;
   }
   return ok;
@@ -406,17 +476,17 @@ bool report_pipeline(cs31::bench::JsonReport& json) {
 /// attached at all (no detector, no pipeline: drains merge and discard).
 /// This is the number the lock-free redesign moves, so it is asserted:
 /// lock-free capture must hold traced ParallelLife::run to <= 1.1x the
-/// untraced wall time. The mutex_stream row is the same measurement on
-/// the old design, reported for the contrast (and the JSON carries a
-/// "capture" dimension for both).
+/// untraced wall time (median of interleaved pairs). The mutex_stream
+/// row is the same measurement on the old design, reported for the
+/// contrast (and the JSON carries a "capture" dimension for both).
 bool report_capture_overhead(cs31::bench::JsonReport& json) {
   constexpr std::size_t kSide = 64;
   constexpr std::size_t kThreads = 4;
-  // More rounds and more min-of runs than (c): the asserted margin is
-  // tighter (1.1x vs 1.25x), so the measurement needs a deeper noise
-  // shield on a shared 1-core host.
+  // More rounds than (c): the asserted margin is tighter (1.1x vs
+  // 1.25x), so each sample amortizes the team's spawn/join over more
+  // barrier cycles.
   constexpr std::size_t kRounds = 60;
-  constexpr int kRuns = 9;
+  constexpr std::size_t kPairs = 21;
   constexpr double kCeiling = 1.1;
   const Grid initial = Grid::random(kSide, kSide, 0.3, 7);
 
@@ -427,43 +497,54 @@ bool report_capture_overhead(cs31::bench::JsonReport& json) {
               "          no sinks attached (drain merges and discards)\n\n",
               kSide, kSide, kThreads, kRounds);
 
-  const double untraced_s = min_seconds_of(kRuns, [&] {
-    cs31::life::ParallelLife life(initial, kThreads);
-    life.run(kRounds);
-  });
-
-  double mode_s[2] = {0, 0};
   std::uint64_t captured = 0;
-  const cs31::trace::CaptureMode modes[2] = {cs31::trace::CaptureMode::lockfree,
-                                             cs31::trace::CaptureMode::mutex_stream};
-  const char* mode_names[2] = {"lockfree", "mutex"};
-  for (int m = 0; m < 2; ++m) {
-    mode_s[m] = min_seconds_of(kRuns, [&] {
-      cs31::trace::TraceContext ctx(cs31::trace::TraceContext::Options{
-          .own_detector = false, .capture = modes[m]});
+  const auto traced = [&](cs31::trace::CaptureMode mode) {
+    return [&, mode] {
+      cs31::trace::TraceContext ctx(
+          cs31::trace::TraceContext::Options{.own_detector = false, .capture = mode});
       cs31::life::ParallelLife life(initial, kThreads);
       life.run(kRounds, {.ctx = &ctx});
       ctx.flush();
       captured = ctx.events_captured();
-    });
-    const double overhead = mode_s[m] / untraced_s;
-    std::printf("%-12s traced %8.2f ms   untraced %8.2f ms   overhead %.3fx\n",
-                mode_names[m], mode_s[m] * 1e3, untraced_s * 1e3, overhead);
+    };
+  };
+  // Untraced, lock-free and mutex-stream interleaved as triples: each
+  // traced side is paired with the untraced run of its own round.
+  const auto times = interleaved_seconds(kPairs, {[&] {
+                                                    cs31::life::ParallelLife life(initial,
+                                                                                  kThreads);
+                                                    life.run(kRounds);
+                                                  },
+                                                  traced(cs31::trace::CaptureMode::lockfree),
+                                                  traced(cs31::trace::CaptureMode::mutex_stream)});
+  const double untraced_s = median_of(times[0]);
+  const char* mode_names[2] = {"lockfree", "mutex"};
+  Spread ratios[2];
+  for (int m = 0; m < 2; ++m) {
+    const double mode_s = median_of(times[m + 1]);
+    ratios[m] = ratio_spread(times[m + 1], times[0]);
+    std::printf("%-12s traced %8.2f ms   untraced %8.2f ms   (medians)\n", mode_names[m],
+                mode_s * 1e3, untraced_s * 1e3);
+    report_spread(json, std::string("capture_overhead_x_") + mode_names[m],
+                  "  overhead (x)", ratios[m]);
     std::printf("BENCH_race {\"mode\":\"capture_only\",\"capture\":\"%s\",\"grid\":%zu,"
-                "\"threads\":%zu,\"rounds\":%zu,\"untraced_ms\":%.3f,\"traced_ms\":%.3f,"
-                "\"overhead_x\":%.3f,\"events_captured\":%llu}\n",
-                mode_names[m], kSide, kThreads, kRounds, untraced_s * 1e3, mode_s[m] * 1e3,
-                overhead, static_cast<unsigned long long>(captured));
-    json.metric(std::string("capture_overhead_x_") + mode_names[m], overhead);
+                "\"threads\":%zu,\"rounds\":%zu,\"pairs\":%zu,\"untraced_ms\":%.3f,"
+                "\"traced_ms\":%.3f,\"overhead_x\":%.3f,\"overhead_iqr\":%.3f,"
+                "\"events_captured\":%llu}\n",
+                mode_names[m], kSide, kThreads, kRounds, kPairs, untraced_s * 1e3,
+                mode_s * 1e3, ratios[m].median, ratios[m].iqr(),
+                static_cast<unsigned long long>(captured));
   }
-  const double lockfree_overhead = mode_s[0] / untraced_s;
-  std::printf("\nlock-free capture overhead %.3fx (ceiling %.2fx)\n\n", lockfree_overhead,
-              kCeiling);
+  const Spread& lockfree = ratios[0];
+  std::printf("\nlock-free capture overhead %.3fx (median of %zu pairs, IQR %.3f; ceiling "
+              "%.2fx)\n\n",
+              lockfree.median, lockfree.rounds, lockfree.iqr(), kCeiling);
 
-  if (lockfree_overhead > kCeiling) {
+  if (lockfree.median > kCeiling) {
     std::fprintf(stderr,
-                 "FAIL: lock-free capture overhead %.3fx exceeds the %.2fx ceiling\n",
-                 lockfree_overhead, kCeiling);
+                 "FAIL: lock-free capture overhead %.3fx (median of %zu pairs, IQR %.3f) "
+                 "exceeds the %.2fx ceiling\n",
+                 lockfree.median, lockfree.rounds, lockfree.iqr(), kCeiling);
     return false;
   }
   return true;
@@ -474,10 +555,13 @@ bool report_capture_overhead(cs31::bench::JsonReport& json) {
 /// TracedMutexes, so every recorded event is a sync event and the old
 /// design funnels all of them through one global mutex. Lock-free
 /// capture records each into the owning thread's buffer with two relaxed
-/// fetch_adds; asserted >= 1.5x the mutex-stream throughput.
+/// fetch_adds; asserted >= 1.5x the mutex-stream throughput (median of
+/// interleaved pairs; both sides capture the same events, so the
+/// throughput ratio is the wall-time ratio mutex / lock-free).
 bool report_sync_storm(cs31::bench::JsonReport& json) {
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kIters = 25000;  // x2 events (acquire+release)
+  constexpr std::size_t kPairs = 7;
   constexpr double kFloor = 1.5;
 
   std::printf("==============================================================\n");
@@ -486,15 +570,11 @@ bool report_sync_storm(cs31::bench::JsonReport& json) {
   std::printf("workload: %zu real threads x %llu lock/unlock on private TracedMutexes\n\n",
               kThreads, static_cast<unsigned long long>(kIters));
 
-  double tput[2] = {0, 0};
-  const cs31::trace::CaptureMode modes[2] = {cs31::trace::CaptureMode::lockfree,
-                                             cs31::trace::CaptureMode::mutex_stream};
-  const char* mode_names[2] = {"lockfree", "mutex"};
-  for (int m = 0; m < 2; ++m) {
-    std::uint64_t captured = 0;
-    const double s = min_seconds_of_3([&] {
-      cs31::trace::TraceContext ctx(cs31::trace::TraceContext::Options{
-          .own_detector = false, .capture = modes[m]});
+  std::uint64_t captured[2] = {0, 0};
+  const auto storm = [&](cs31::trace::CaptureMode mode, std::uint64_t& events) {
+    return [&, mode] {
+      cs31::trace::TraceContext ctx(
+          cs31::trace::TraceContext::Options{.own_detector = false, .capture = mode});
       std::vector<std::unique_ptr<cs31::trace::TracedMutex>> mutexes;
       for (std::size_t t = 0; t < kThreads; ++t) {
         mutexes.push_back(std::make_unique<cs31::trace::TracedMutex>(
@@ -509,33 +589,46 @@ bool report_sync_storm(cs31::bench::JsonReport& json) {
       });
       team.join();
       ctx.flush();
-      captured = ctx.events_captured();
-    });
-    tput[m] = static_cast<double>(captured) / s;
-    std::printf("%-12s %8.2f ms   %10.2f Kev/s   (%llu sync events)\n", mode_names[m],
-                s * 1e3, tput[m] / 1e3, static_cast<unsigned long long>(captured));
+      events = ctx.events_captured();
+    };
+  };
+  const auto times =
+      interleaved_seconds(kPairs, {storm(cs31::trace::CaptureMode::lockfree, captured[0]),
+                                   storm(cs31::trace::CaptureMode::mutex_stream, captured[1])});
+  const char* mode_names[2] = {"lockfree", "mutex"};
+  for (int m = 0; m < 2; ++m) {
+    const double s = median_of(times[m]);
+    const double tput = static_cast<double>(captured[m]) / s;
+    std::printf("%-12s %8.2f ms   %10.2f Kev/s   (%llu sync events, median)\n", mode_names[m],
+                s * 1e3, tput / 1e3, static_cast<unsigned long long>(captured[m]));
     std::printf("BENCH_race {\"mode\":\"sync_storm\",\"capture\":\"%s\",\"threads\":%zu,"
-                "\"iters\":%llu,\"wall_ms\":%.3f,\"sync_events_per_sec\":%.0f}\n",
-                mode_names[m], kThreads, static_cast<unsigned long long>(kIters), s * 1e3,
-                tput[m]);
-    json.metric(std::string("sync_storm_events_per_sec_") + mode_names[m], tput[m]);
+                "\"iters\":%llu,\"pairs\":%zu,\"wall_ms\":%.3f,\"sync_events_per_sec\":%.0f}\n",
+                mode_names[m], kThreads, static_cast<unsigned long long>(kIters), kPairs,
+                s * 1e3, tput);
+    json.metric(std::string("sync_storm_events_per_sec_") + mode_names[m], tput);
   }
-  const double speedup = tput[0] / tput[1];
-  std::printf("\nlock-free sync capture throughput %.2fx mutex-stream (floor %.1fx)\n\n",
-              speedup, kFloor);
-  json.metric("sync_storm_speedup_x", speedup);
+  const Spread speedup = ratio_spread(times[1], times[0]);
+  std::printf("\n");
+  report_spread(json, "sync_storm_speedup_x", "lock-free / mutex-stream throughput",
+                speedup);
+  std::printf("  (floor %.1fx)\n\n", kFloor);
 
-  if (speedup < kFloor) {
+  if (captured[0] != captured[1]) {
+    std::fprintf(stderr, "FAIL: the two capture modes recorded different event counts\n");
+    return false;
+  }
+  if (speedup.median < kFloor) {
     std::fprintf(stderr,
-                 "FAIL: sync-storm speedup %.2fx is below the %.1fx floor\n", speedup,
-                 kFloor);
+                 "FAIL: sync-storm speedup %.2fx (median of %zu pairs, IQR %.3f) is below "
+                 "the %.1fx floor\n",
+                 speedup.median, speedup.rounds, speedup.iqr(), kFloor);
     return false;
   }
   return true;
 }
 
 /// Shard scaling, measured honestly on any core count: wall-clock on a
-/// 1-core host cannot improve with more analysis workers, but the
+/// host with no spare core cannot improve with more analysis workers, but the
 /// analysis *capacity* — events retired per second of the busiest
 /// shard's CPU time — can and must. That is the number that predicts
 /// multi-core behaviour: with real cores, throughput saturates at
@@ -777,14 +870,15 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  if (!report_compression(json)) return 1;
-  if (!report_realthread(json)) return 1;
-  if (!report_pipeline(json)) return 1;
-  if (!report_capture_overhead(json)) return 1;
-  if (!report_sync_storm(json)) return 1;
-  if (!report_shard_scaling(json)) return 1;
+  // Every asserted section runs, so one red gate cannot hide another.
+  bool ok = report_compression(json);
+  ok = report_realthread(json) && ok;
+  ok = report_pipeline(json) && ok;
+  ok = report_capture_overhead(json) && ok;
+  ok = report_sync_storm(json) && ok;
+  ok = report_shard_scaling(json) && ok;
   report_sampling(json);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -183,9 +183,9 @@ void act4_two_detectives() {
 // The detective's back office. Acts 1-4 ran analysis *inline*: the
 // draining thread replayed every event through the detector while the
 // workers waited. Act 5 moves the detective off the critical path — the
-// drain publishes batches to a bounded queue, a router broadcasts sync
-// events and shards accesses by variable, and N workers analyze private
-// slices of FastTrack shadow state. Partitioning the work is the
+// drain publishes each numbered batch to every shard's bounded queue,
+// and N shards analyze private slices of FastTrack shadow state (all
+// sync events, plus the accesses to the variables each one owns). Partitioning the work is the
 // McKenney lesson; the punchline is that the verdict is byte-identical
 // to the inline one, whatever the shard count.
 void act5_pipelined_analysis() {

@@ -9,16 +9,26 @@
 //   push          blocks while the queue is full — that block IS the
 //                 backpressure; `waits` counts how often it happened.
 //                 Throws cs31::Error after close().
+//   push_batched  push, but a sleeping consumer is woken only once the
+//                 queue is half full (or when the producer must block):
+//                 one wake-up per capacity/2 items instead of one per
+//                 item. Items below the mark wait for that wake-up,
+//                 wait_drained or close — so use it only where no one
+//                 needs an item handled sooner than that.
 //   pop           blocks until an item or close; returns false only
 //                 when closed AND drained, so a closed queue still
 //                 delivers everything it holds. Marks the consumer
 //                 busy until done().
+//   try_pop       pop without blocking (false when empty).
+//   wait_nonempty blocks until an item or close without taking one, for
+//                 consumers that take items under a lock of their own.
 //   done          the consumer finished a popped item. wait_drained
 //                 needs this: "empty" alone would declare a queue
 //                 drained while a consumer still chews the last item.
-//   wait_drained  blocks until the queue is empty and every consumer is
-//                 idle — the building block for a stage-ordered
-//                 wait_idle across a multi-queue topology.
+//   wait_drained  wakes the consumers if items are waiting, then blocks
+//                 until the queue is empty and every consumer is idle —
+//                 the building block for a stage-ordered wait_idle
+//                 across a multi-queue topology.
 //   close         wakes everyone; pending items still drain.
 //
 // Any number of pushers and poppers: `consumers_active` counts every
@@ -50,17 +60,27 @@ struct BoundedQueue {
   BoundedQueue() = default;
   explicit BoundedQueue(std::size_t cap) : capacity(cap) {}
 
-  void push(T item) {
+  void push(T item) { push_impl(std::move(item), /*batched=*/false); }
+
+  void push_batched(T item) { push_impl(std::move(item), /*batched=*/true); }
+
+  /// pop without blocking: false when the queue is empty.
+  bool try_pop(T& out) {
+    std::scoped_lock lock(mutex);
+    if (items.empty()) return false;
+    out = std::move(items.front());
+    items.pop_front();
+    ++consumers_active;
+    not_full.notify_all();
+    return true;
+  }
+
+  /// Block until an item is queued or the queue is closed; false when
+  /// closed and drained. Takes nothing — pair it with try_pop.
+  bool wait_nonempty() {
     std::unique_lock lock(mutex);
-    require(!closed, "bounded queue: push after close");
-    if (items.size() >= capacity) {
-      ++waits;
-      not_full.wait(lock, [&] { return items.size() < capacity || closed; });
-      require(!closed, "bounded queue: push after close");
-    }
-    items.push_back(std::move(item));
-    high_water = std::max<std::uint64_t>(high_water, items.size());
-    not_empty.notify_all();
+    not_empty.wait(lock, [&] { return !items.empty() || closed; });
+    return !items.empty();
   }
 
   /// False when closed and drained; counts the consumer as busy while
@@ -92,7 +112,23 @@ struct BoundedQueue {
 
   void wait_drained() {
     std::unique_lock lock(mutex);
+    if (!items.empty()) not_empty.notify_all();  // items push_batched left unannounced
     not_full.wait(lock, [&] { return items.empty() && consumers_active == 0; });
+  }
+
+ private:
+  void push_impl(T item, bool batched) {
+    std::unique_lock lock(mutex);
+    require(!closed, "bounded queue: push after close");
+    if (items.size() >= capacity) {
+      ++waits;
+      if (batched) not_empty.notify_all();  // the consumer must run for us to go on
+      not_full.wait(lock, [&] { return items.size() < capacity || closed; });
+      require(!closed, "bounded queue: push after close");
+    }
+    items.push_back(std::move(item));
+    high_water = std::max<std::uint64_t>(high_water, items.size());
+    if (!batched || 2 * items.size() >= capacity) not_empty.notify_all();
   }
 };
 

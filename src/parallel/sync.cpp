@@ -13,31 +13,48 @@ Barrier::Barrier(std::size_t count) : count_(count) {
 }
 
 bool Barrier::wait() {
+  trace::TraceContext* const tracer = tracer_;  // set before the first wait()
+  // Tracing work that needs no barrier state runs before the lock: the
+  // arriving thread seals its own buffer (an O(1) swap) and learns its
+  // trace id.
+  const trace::ThreadId me = tracer != nullptr ? tracer->seal_self() : 0;
   std::unique_lock lock(mutex_);
-  const std::uint64_t my_generation = generation_;
-  if (tracer_ != nullptr) cycle_waiters_.push_back(tracer_->self());
+  const std::uint64_t my_generation = generation_.load(std::memory_order_relaxed);
+  if (tracer != nullptr) cycle_waiters_.push_back(me);
   if (++arrived_ == count_) {
     // Last arriver releases the cycle.
-    if (tracer_ != nullptr) {
+    if (tracer != nullptr) {
       // The completed cycle orders every waiter's pre-barrier work
-      // before every waiter's post-barrier work — and every other
-      // waiter is blocked in this barrier right now, so their buffers
-      // are safe to drain (bounded capture memory).
-      tracer_->barrier_cycle(std::move(cycle_waiters_), report_edges_);
+      // before every waiter's post-barrier work. Recording that edge
+      // and staging the sealed segments is all the tracer does while
+      // the others wait; the merge and dispatch run after the release.
+      tracer->stage_barrier_cycle(cycle_waiters_, report_edges_);
       cycle_waiters_.clear();
     }
     arrived_ = 0;
-    ++generation_;
+    generation_.fetch_add(1, std::memory_order_release);
     cv_.notify_all();
+    lock.unlock();
+    if (tracer != nullptr) tracer->drain_staged();
     return true;
   }
-  cv_.wait(lock, [&] { return generation_ != my_generation; });
+  if (tracer != nullptr && tracer->has_pipeline()) {
+    // Until the last arriver comes this thread would only sleep: lend
+    // its core to queued race analysis, one batch at a time, so the
+    // analysis fills the barrier's slack instead of taking a core from
+    // a worker that is still computing.
+    lock.unlock();
+    while (generation_.load(std::memory_order_acquire) == my_generation &&
+           tracer->help_analysis()) {
+    }
+    lock.lock();
+  }
+  cv_.wait(lock, [&] { return generation_.load(std::memory_order_relaxed) != my_generation; });
   return false;
 }
 
 std::uint64_t Barrier::cycles() const {
-  std::scoped_lock lock(mutex_);
-  return generation_;
+  return generation_.load(std::memory_order_acquire);
 }
 
 void Barrier::attach_tracer(trace::TraceContext& ctx, bool report_edges) {

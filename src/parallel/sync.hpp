@@ -37,11 +37,21 @@ class Barrier {
   [[nodiscard]] std::uint64_t cycles() const;
 
   /// Report each completed cycle to a trace context as a happens-before
-  /// edge among that cycle's waiters, and drain their buffers (every
-  /// waiter is blocked in the barrier while the last arriver drains, so
-  /// a barrier is a natural bounded-memory drain point). Every thread
-  /// that calls wait() must be bound to `ctx` (e.g. spawned by a traced
-  /// ThreadTeam). Attach before the first wait().
+  /// edge among that cycle's waiters, and drain their buffers — a
+  /// barrier is a natural bounded-memory drain point. The drain is
+  /// split around the release so the waiters do not wait for it:
+  ///   before release — each arriving thread seals its buffer
+  ///     (TraceContext::seal_self, outside the barrier mutex); the last
+  ///     arriver records the cycle edge and stages the sealed segments
+  ///     (stage_barrier_cycle, under the barrier mutex);
+  ///   after release — the last arriver merges and dispatches them
+  ///     (drain_staged) after notify_all, outside the barrier mutex, so
+  ///     its own wait() returns later while the others compute.
+  /// With an AnalysisPipeline attached to `ctx`, an early arriver also
+  /// analyzes queued batches (TraceContext::help_analysis) until the
+  /// cycle completes, finishing at most the batch in hand.
+  /// Every thread that calls wait() must be bound to `ctx` (e.g.
+  /// spawned by a traced ThreadTeam). Attach before the first wait().
   ///
   /// `report_edges = false` is the "forgotten barrier" teaching mode:
   /// the real barrier still runs (the execution stays well-defined) but
@@ -53,7 +63,9 @@ class Barrier {
  private:
   const std::size_t count_;
   std::size_t arrived_ = 0;
-  std::uint64_t generation_ = 0;
+  /// Completed cycles. Written under mutex_; atomic so a waiter lending
+  /// its core to analysis sees the release without the lock.
+  std::atomic<std::uint64_t> generation_{0};
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   trace::TraceContext* tracer_ = nullptr;

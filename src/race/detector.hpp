@@ -98,8 +98,8 @@ struct RaceReport {
 /// inline detector would have produced. Because a report is keyed by
 /// the *second* access — the one that completed the race — and every
 /// detector stamps that access with its detector-global event number
-/// (which a sharded run overrides to the router's global numbering via
-/// set_event_clock), a stable sort on `second.event` reconstructs
+/// (which a sharded run overrides to the publisher's global numbering
+/// via set_event_clock), a stable sort on `second.event` reconstructs
 /// detection order exactly: two reports never share a stamp unless they
 /// fired on the same event, i.e. in the same shard, where input order
 /// already matches. Re-applies the race_pair_key dedup across shards as
@@ -225,11 +225,11 @@ class Detector final : public EventSink {
   [[nodiscard]] VectorClock clock_of(ThreadId t) const;
 
   /// Pin the event clock so the *next* event is numbered `seen + 1`.
-  /// A sharded analysis (trace::AnalysisPipeline) calls this before
-  /// every event with the router's global event index: each shard sees
-  /// only a slice of the stream, but its AccessSite.event values — and
-  /// therefore its reports — come out identical to an inline detector
-  /// that saw everything.
+  /// A sharded analysis (trace::AnalysisPipeline) calls this wherever
+  /// the global event index skips events another shard owns: each
+  /// shard sees only a slice of the stream, but its AccessSite.event
+  /// values — and therefore its reports — come out identical to an
+  /// inline detector that saw everything.
   void set_event_clock(std::uint64_t seen);
 
  private:

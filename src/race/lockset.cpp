@@ -172,12 +172,15 @@ AccessSite LocksetDetector::materialize(const Access& access) const {
 }
 
 void LocksetDetector::report(NameId var, const Access& first, const Access& second) {
+  const auto side_a = std::pair(first.thread, first.where);
+  const auto side_b = std::pair(second.thread, second.where);
+  const auto& [lo, hi] = std::minmax(side_a, side_b);
+  if (!reported_.emplace(var, lo.first, lo.second, hi.first, hi.second).second) {
+    return;  // one report per (variable, site pair)
+  }
   const std::string& variable = var_names_.name(var);
   AccessSite first_site = materialize(first);
   AccessSite second_site = materialize(second);
-  if (!reported_.insert(race_pair_key(variable, first_site, second_site)).second) {
-    return;  // one report per (variable, site pair)
-  }
   std::ostringstream why;
   why << "locking discipline violated: the candidate lockset of `" << variable
       << "` is empty — no single lock protected every shared access (Eraser sees "

@@ -25,6 +25,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "race/detector.hpp"
@@ -104,7 +105,10 @@ class LocksetDetector final : public EventSink {
   Interner lock_names_;
   Interner site_names_;
   std::vector<RaceReport> races_;
-  std::set<std::string> reported_;  // race_pair_key dedup
+  /// One report per (variable, site pair), keyed by ids — (variable,
+  /// lower side, higher side), a side being (thread, site id) — so a
+  /// repeated report builds no strings.
+  std::set<std::tuple<NameId, ThreadId, NameId, ThreadId, NameId>> reported_;
   std::uint64_t race_count_ = 0;
   std::uint64_t events_ = 0;
 };

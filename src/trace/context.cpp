@@ -458,22 +458,103 @@ void TraceContext::recv_as(ThreadId t, NameId channel) {
 
 // --- barrier / drain -----------------------------------------------------
 
-void TraceContext::barrier_cycle(std::vector<ThreadId> waiters, bool report) {
+void TraceContext::seal(ThreadBuffer& buf) {
+  // The previous cycle's stage took the last sealed segment before this
+  // thread was released, so the slot is normally empty and the seal is
+  // a swap: the thread goes on capturing into the slot's recycled
+  // vector. (A segment still waiting — the thread never got through its
+  // last barrier — is extended instead.)
+  if (buf.sealed.empty()) {
+    buf.events.swap(buf.sealed);
+    return;
+  }
+  buf.sealed.insert(buf.sealed.end(), buf.events.begin(), buf.events.end());
+  buf.events.clear();
+}
+
+void TraceContext::barrier_cycle(const std::vector<ThreadId>& waiters, bool report) {
+  // The scripted caller speaks for every waiter: seal on its behalf,
+  // then take the same two steps a real parallel::Barrier takes.
+  for (const ThreadId w : waiters) seal(buffer_of(w));
+  stage_barrier_cycle(waiters, report);
+  drain_staged();
+}
+
+ThreadId TraceContext::seal_self() {
+  seal(buffer_of_self());
+  return tls_binding.tid;
+}
+
+void TraceContext::stage_barrier_cycle(const std::vector<ThreadId>& waiters, bool report) {
   require(!waiters.empty(), "barrier cycle needs at least one waiter");
+  std::scoped_lock lock(stream_mutex_);
   // A fixed waiter order keeps the recorded stream — and therefore the
   // certificate — independent of arrival order.
-  std::sort(waiters.begin(), waiters.end());
-  std::scoped_lock lock(stream_mutex_);
+  std::scoped_lock registry(registry_mutex_);
+  for (const ThreadId w : waiters) {
+    if (w >= buffers_.size() || buffers_[w] == nullptr) {
+      throw Error("drain of unknown or retired trace thread id " + std::to_string(w));
+    }
+  }
+  std::vector<ThreadId>& sorted = staged_waiters_;
+  sorted.assign(waiters.begin(), waiters.end());
+  std::sort(sorted.begin(), sorted.end());
+  ++staged_cycles_;
   if (report) {
     const std::uint64_t stamp = sync_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const auto set_index = static_cast<NameId>(waiter_sets_.size());
-    for (const ThreadId w : waiters) buffer_of(w).epoch = stamp;
-    sync_stream_.push_back(
-        Event{EventKind::BarrierCycle, waiters.front(), set_index, 0, stamp, 0});
+    for (const ThreadId w : sorted) buffers_[w]->epoch = stamp;
+    sync_stream_.push_back(Event{EventKind::BarrierCycle, sorted.front(),
+                                 static_cast<NameId>(waiter_sets_.size()), 0, stamp, 0});
     ++structural_syncs_;
-    waiter_sets_.push_back(waiters);
+    waiter_sets_.push_back(sorted);
   }
-  drain_locked(waiters, /*all=*/false);
+  // Stage the waiters' sealed segments (in tid order, so drain_staged's
+  // merge is mostly appends) and then the sync stream. Only vectors
+  // move here; each sealed slot gets a spare back, so the waiter's next
+  // seal hands it a vector that already has capacity.
+  covered_scratch_.assign(buffers_.size(), 0);
+  for (const ThreadId w : sorted) {
+    ThreadBuffer& buf = *buffers_[w];
+    buf.high_water = std::max<std::uint64_t>(buf.high_water, buf.sealed.size());
+    if (!buf.sealed.empty()) {
+      staged_runs_.push_back(std::move(buf.sealed));
+      buf.sealed = spare_run_locked();
+    }
+    if (buf.floor != kParkedFloor) buf.floor = buf.epoch;
+    covered_scratch_[w] = 1;
+  }
+  advance_and_reclaim_locked(covered_scratch_);
+  if (!sync_stream_.empty()) {
+    staged_runs_.push_back(std::move(sync_stream_));
+    sync_stream_ = spare_run_locked();
+  }
+}
+
+void TraceContext::drain_staged() {
+  std::scoped_lock lock(stream_mutex_);
+  if (staged_cycles_ == 0) return;  // an intervening drain merged it already
+  // The staged waiters count as covered: everything staged was captured
+  // before their release. Every other live thread may still capture
+  // down to its floor. With two cycles staged, the first cycle's
+  // waiters are running and hold no staged data, so nobody is exempt.
+  const bool exempt = staged_cycles_ == 1;
+  std::uint64_t horizon = kParkedFloor;
+  {
+    std::scoped_lock registry(registry_mutex_);
+    for (ThreadId t = 0; t < buffers_.size(); ++t) {
+      if (buffers_[t] == nullptr ||
+          (exempt &&
+           std::binary_search(staged_waiters_.begin(), staged_waiters_.end(), t))) {
+        continue;
+      }
+      horizon = std::min(horizon, buffers_[t]->floor);
+    }
+  }
+  dispatch_prefix_locked(take_staged_locked(), horizon);
+}
+
+bool TraceContext::help_analysis() {
+  return pipeline_ != nullptr && pipeline_->help();
 }
 
 void TraceContext::flush() {
@@ -487,6 +568,62 @@ void TraceContext::flush() {
   if (pipeline_ != nullptr) pipeline_->wait_idle();
 }
 
+namespace {
+
+/// Append one drain_order-sorted run to the sorted `merged` and clear
+/// it. Every drain source is already sorted, so a drain is a cascade of
+/// these merges, not a sort: O(n · runs) with mostly-sequential access,
+/// and a run that lands entirely past the current tail is a plain
+/// append.
+void merge_run(std::vector<Event>& merged, std::vector<Event>& run) {
+  if (run.empty()) return;
+  const auto less = [](const Event& a, const Event& b) { return drain_order(a, b); };
+  const std::size_t mid = merged.size();
+  merged.insert(merged.end(), run.begin(), run.end());
+  run.clear();
+  if (mid == 0 || !less(merged[mid], merged[mid - 1])) return;  // pure append
+  std::inplace_merge(merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(mid),
+                     merged.end(), less);
+}
+
+}  // namespace
+
+std::vector<Event> TraceContext::spare_run_locked() {
+  if (spare_runs_.empty()) return {};
+  std::vector<Event> run = std::move(spare_runs_.back());
+  spare_runs_.pop_back();
+  return run;
+}
+
+void TraceContext::recycle_run_locked(std::vector<Event>&& run) {
+  // At most one spare per live buffer plus the sync stream: enough for
+  // a stage to refill every sealed slot without allocating. (Merged
+  // runs are never pooled: they can be whole-run sized, and a pool that
+  // hoards them costs more in fresh pages than it saves.)
+  if (spare_runs_.size() > buffers_.size()) return;
+  run.clear();
+  spare_runs_.push_back(std::move(run));
+}
+
+std::vector<Event> TraceContext::take_staged_locked() {
+  // pending_ is moved, never copied (a join drain can hold back most of
+  // a run), and grown once for everything staged. The merged run leaves
+  // with a published batch, so it does not come from the spare pool:
+  // that pool keeps the sealed slots' capacity circulating.
+  std::size_t total = pending_.size();
+  for (const std::vector<Event>& run : staged_runs_) total += run.size();
+  std::vector<Event> merged = std::move(pending_);
+  pending_.clear();
+  merged.reserve(total);
+  for (std::vector<Event>& run : staged_runs_) {
+    merge_run(merged, run);
+    recycle_run_locked(std::move(run));
+  }
+  staged_runs_.clear();
+  staged_cycles_ = 0;
+  return merged;
+}
+
 void TraceContext::drain_locked(const std::vector<ThreadId>& subset, bool all) {
   // Caller holds stream_mutex_; every covered buffer's owner is
   // quiescent (see the header's contract), so reading and clearing
@@ -494,26 +631,12 @@ void TraceContext::drain_locked(const std::vector<ThreadId>& subset, bool all) {
   // for their floor (stream_mutex_-guarded) — never their events.
   //
   // Every source is already drain_order-sorted — pending_ by
-  // construction, the sync stream by stamp, and each per-thread buffer
-  // because one thread's stamps are nondecreasing in program order with
-  // seq breaking ties (and a sync precedes the accesses that run in its
-  // epoch) — so the merge is a cascade of sorted-run merges, not a
-  // sort: O(n · runs) with mostly-sequential access, and a run that
-  // lands entirely past the current tail is a plain append.
-  std::vector<Event> merged = std::move(pending_);
-  pending_.clear();
-  const auto less = [](const Event& a, const Event& b) { return drain_order(a, b); };
-  const auto merge_run = [&merged, &less](std::vector<Event>& run) {
-    if (run.empty()) return;
-    const std::size_t mid = merged.size();
-    merged.insert(merged.end(), run.begin(), run.end());
-    run.clear();
-    if (mid == 0 || !less(merged[mid], merged[mid - 1])) return;  // pure append
-    std::inplace_merge(merged.begin(),
-                       merged.begin() + static_cast<std::ptrdiff_t>(mid), merged.end(),
-                       less);
-  };
-  merge_run(sync_stream_);
+  // construction, staged runs and the sync stream by stamp, and each
+  // per-thread buffer because one thread's stamps are nondecreasing in
+  // program order with seq breaking ties (and a sync precedes the
+  // accesses that run in its epoch).
+  std::vector<Event> merged = take_staged_locked();
+  merge_run(merged, sync_stream_);
 
   // The dispatch horizon: an undrained buffer may still hold — or, if
   // its thread is running, still capture — events down to its floor, so
@@ -537,8 +660,10 @@ void TraceContext::drain_locked(const std::vector<ThreadId>& subset, bool all) {
       if (buffers_[t] == nullptr) continue;  // retired: no events, no constraint
       ThreadBuffer& buf = *buffers_[t];
       if (covered_scratch_[t]) {
-        buf.high_water = std::max<std::uint64_t>(buf.high_water, buf.events.size());
-        merge_run(buf.events);
+        buf.high_water = std::max<std::uint64_t>(buf.high_water,
+                                                 buf.sealed.size() + buf.events.size());
+        merge_run(merged, buf.sealed);  // a segment sealed by a barrier still waiting
+        merge_run(merged, buf.events);
         if (buf.floor != kParkedFloor) buf.floor = buf.epoch;
       } else {
         horizon = std::min(horizon, buf.floor);
@@ -546,6 +671,10 @@ void TraceContext::drain_locked(const std::vector<ThreadId>& subset, bool all) {
     }
     advance_and_reclaim_locked(covered_scratch_);
   }
+  dispatch_prefix_locked(std::move(merged), horizon);
+}
+
+void TraceContext::dispatch_prefix_locked(std::vector<Event>&& merged, std::uint64_t horizon) {
   if (merged.empty()) return;
   std::size_t safe = 0;
   while (safe < merged.size() &&
@@ -565,10 +694,10 @@ void TraceContext::drain_locked(const std::vector<ThreadId>& subset, bool all) {
       merged.resize(safe);
     }
     publish_locked(std::move(merged));
-  } else {
-    for (std::size_t i = 0; i < safe; ++i) dispatch(merged[i]);
-    pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
+    return;
   }
+  for (std::size_t i = 0; i < safe; ++i) dispatch(merged[i]);
+  pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
 }
 
 void TraceContext::advance_and_reclaim_locked(const std::vector<char>& covered) {
@@ -674,11 +803,25 @@ NameId translate(std::vector<NameId>& map, NameId id, Intern&& intern) {
 
 }  // namespace
 
+const std::string& TraceContext::cached_name(std::vector<std::string>& cache,
+                                             const race::Interner& names, NameId id) {
+  if (id >= cache.size()) {
+    // Interners are append-only and dense, so the cache is a prefix.
+    std::scoped_lock lock(intern_mutex_);
+    for (auto i = static_cast<NameId>(cache.size()); i <= id; ++i) {
+      cache.push_back(names.name(i));
+    }
+  }
+  return cache[id];
+}
+
 void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
   race::EventSink& sink = *binding.sink;
   race::Detector* fast = binding.fast;
   const ThreadId t = binding.tid_map[event.thread];
 
+  // The detector fast path interns each name once, so it copies the
+  // name out per first sight instead of caching it.
   const auto name_of = [this](const race::Interner& names, NameId id) {
     std::scoped_lock lock(intern_mutex_);
     return names.name(id);  // returns a reference; copy before unlock
@@ -700,8 +843,8 @@ void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
           fast->write(t, var, site);
         }
       } else {
-        const std::string var = name_of(var_names_, event.id);
-        const std::string site = name_of(site_names_, event.site);
+        const std::string& var = cached_name(binding.var_names, var_names_, event.id);
+        const std::string& site = cached_name(binding.site_names, site_names_, event.site);
         if (event.kind == EventKind::Read) {
           sink.read(t, var, site);
         } else {
@@ -722,7 +865,7 @@ void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
           fast->release(t, lock);
         }
       } else {
-        const std::string lock = name_of(lock_names_, event.id);
+        const std::string& lock = cached_name(binding.lock_names, lock_names_, event.id);
         if (event.kind == EventKind::Acquire) {
           sink.acquire(t, lock);
         } else {
@@ -743,7 +886,8 @@ void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
           fast->channel_recv(t, channel);
         }
       } else {
-        const std::string channel = name_of(channel_names_, event.id);
+        const std::string& channel =
+            cached_name(binding.channel_names, channel_names_, event.id);
         if (event.kind == EventKind::ChannelSend) {
           sink.channel_send(t, channel);
         } else {

@@ -69,20 +69,46 @@
 // who pushes the events.
 //
 // Quiescence contract (checked by usage, not locks): a drain may only
-// cover buffers whose owning threads are blocked or finished — barrier
-// drains run while every waiter sits in the barrier (the caller holds
-// the barrier mutex), join drains run after pthread_join, flush() runs
-// when the caller knows all bound threads are done. Threads outside a
-// partial drain must be idle between their last drain and the next one
-// (the fork/join-structured teams in this kit satisfy that: the parent
-// drains its own buffer when it forks, then blocks in join()).
+// read buffers whose owning threads are blocked or finished — join
+// drains run after pthread_join, flush() runs when the caller knows all
+// bound threads are done. Threads outside a partial drain must be idle
+// between their last drain and the next one (the fork/join-structured
+// teams in this kit satisfy that: the parent drains its own buffer when
+// it forks, then blocks in join()).
+//
+// A barrier cycle splits its drain around the waiters' release, so the
+// tracer adds nothing to the barrier's wake-up path but O(1) work per
+// waiter:
+//   before release — each waiter, on arrival, seals its own buffer
+//               (seal_self: its events vector swaps into the buffer's
+//               sealed slot, O(1), while the thread still owns it). The
+//               last arriver, with every other waiter blocked, then
+//               records the cycle (stamp, BarrierCycle edge, waiters'
+//               epochs and floors) and stages the sealed segments plus
+//               the sync stream (stage_barrier_cycle: vector moves, no
+//               merge, no dispatch).
+//   after release — the last arriver merges and dispatches what it
+//               staged (drain_staged), while the released waiters
+//               already capture into fresh buffers. Staged segments are
+//               never live buffers, so no waiter is read while it runs.
+// Every drain merges whatever is staged, so a sealed segment is merged
+// no later than the next drain of any kind — which keeps the memory
+// bound, and keeps the dispatch-horizon rule intact: a drain that runs
+// between a stage and its drain_staged constrains the horizon with the
+// released waiters' live floors, while drain_staged itself treats the
+// cycle's waiters as covered (its horizon is the minimum floor of every
+// other thread), because nothing it merges was captured after the
+// release. In this kit's barrier teams the last arriver's drain_staged
+// is always the next drain (the next cycle cannot complete without
+// it), so the dispatched stream and drains() equal those of a drain run
+// inside the barrier, in both capture modes.
 //
 // Buffer reclamation: a joined thread's buffer is *retired*, not freed
 // — epoch-based reclamation (perfbook ch. 9) frees it only after a
 // grace period. Retirement bumps a global reclamation epoch; each live
 // buffer carries the last epoch its thread was observed quiescent at
-// (drains advance it for every covered buffer — the buffer-publish
-// point — and unpark advances it on the capture side); a retired
+// (drains and barrier stages advance it for every covered buffer — the
+// buffer-publish point — and unpark advances it on the capture side); a retired
 // buffer is freed once every live, unparked buffer has been quiescent
 // at or after its retirement epoch. Within this kit's structured
 // fork/join model the locks already exclude drain-vs-drain races, so
@@ -198,6 +224,12 @@ class TraceContext {
   void attach_pipeline(AnalysisPipeline& pipeline);
   [[nodiscard]] bool has_pipeline() const { return pipeline_ != nullptr; }
 
+  /// Lend the calling thread to the attached pipeline's analysis: one
+  /// queued batch per idle shard (AnalysisPipeline::help). False when
+  /// nothing was waiting or no pipeline is attached. A traced Barrier's
+  /// early arrivers call it while the cycle is open.
+  bool help_analysis();
+
   // --- interning -------------------------------------------------------
   // Ids are context-owned; the drain translates them per sink. Safe
   // from any thread, any time. Interning a lock or channel also grows
@@ -262,13 +294,33 @@ class TraceContext {
 
   // --- barrier / drain -------------------------------------------------
 
-  /// A completed barrier cycle over `waiters`: records the cycle edge
+  /// A completed barrier cycle over `waiters`, scripted form: seals
+  /// every waiter's buffer on its behalf, then stage_barrier_cycle and
+  /// drain_staged — the exact steps a real parallel::Barrier takes, in
+  /// one call. All waiters must be blocked in the barrier (or scripted).
+  /// Throws cs31::Error on an empty waiter set.
+  void barrier_cycle(const std::vector<ThreadId>& waiters, bool report = true);
+
+  /// Barrier arrival, bound-thread form: seal the calling thread's
+  /// buffer (swap its events into the sealed slot — O(1), no lock) and
+  /// return its id. Call before blocking in the barrier; the cycle's
+  /// stage_barrier_cycle collects the sealed segment.
+  ThreadId seal_self();
+
+  /// Barrier completion, called once per cycle by the last arriver
+  /// while every other waiter is still blocked: records the cycle edge
   /// (unless `report` is false — the "forgotten barrier" model: the
   /// real barrier still ran, the detector is not told), advances every
-  /// waiter's epoch, and drains the waiters' buffers plus the sync
-  /// stream. All waiters must be blocked in the barrier (or scripted).
-  /// Throws cs31::Error on an empty waiter set.
-  void barrier_cycle(std::vector<ThreadId> waiters, bool report = true);
+  /// waiter's epoch and floor, and stages the waiters' sealed segments
+  /// plus the sync stream for drain_staged. No merge and no dispatch
+  /// happen here. Throws cs31::Error on an empty waiter set.
+  void stage_barrier_cycle(const std::vector<ThreadId>& waiters, bool report = true);
+
+  /// Merge and dispatch what the last stage_barrier_cycle staged; safe
+  /// to call after the waiters are released (it reads no live buffer).
+  /// A no-op when an intervening drain already merged the staged
+  /// segments.
+  void drain_staged();
 
   /// Drain every buffer and the sync stream. All bound threads must be
   /// quiescent. Call before reading any sink's verdict.
@@ -301,6 +353,11 @@ class TraceContext {
 
   struct ThreadBuffer {
     std::vector<Event> events;
+    /// The segment sealed at this thread's last barrier arrival, waiting
+    /// for the cycle's stage_barrier_cycle (or a covering drain) to take
+    /// it. Written only by the owner while it runs; taken only while the
+    /// owner is blocked.
+    std::vector<Event> sealed;
     std::uint64_t seq = 0;         ///< next per-thread sequence number
     std::uint64_t epoch = 0;       ///< last observed sync stamp
     std::uint32_t rng = 1;         ///< sampling decision stream (per-thread, seeded by tid)
@@ -352,12 +409,15 @@ class TraceContext {
 
   /// Per-sink dispatch state: id translations are built lazily from the
   /// context's interners, `fast` short-circuits to the detector's
-  /// interned-id path when the sink is a race::Detector.
+  /// interned-id path when the sink is a race::Detector. Other sinks
+  /// take names: their bindings keep a copy of every name prefix they
+  /// have needed, so an event costs no lock and no string copy.
   struct SinkBinding {
     race::EventSink* sink = nullptr;
     race::Detector* fast = nullptr;
     std::vector<ThreadId> tid_map;  ///< context tid -> sink tid
     std::vector<NameId> var_map, lock_map, channel_map, site_map;
+    std::vector<std::string> var_names, lock_names, channel_names, site_names;
   };
 
   /// A joined thread's buffer awaiting its grace period.
@@ -367,6 +427,9 @@ class TraceContext {
   };
 
   [[nodiscard]] ThreadBuffer& buffer_of_self();
+  /// Move `buf`'s events into its sealed slot (barrier arrival). Only
+  /// the owner, or a scripted caller speaking for it, may seal.
+  static void seal(ThreadBuffer& buf);
   [[nodiscard]] ThreadBuffer& buffer_of(ThreadId t);
   void append_access(ThreadBuffer& buf, ThreadId t, EventKind kind, NameId id,
                      NameId site);
@@ -395,9 +458,23 @@ class TraceContext {
   /// period.
   void retire_buffer_locked(ThreadId child);
 
-  /// Merge + dispatch the given buffers and the sync stream.
-  /// `all` drains every buffer (flush/join); otherwise only `subset`.
+  /// Merge + dispatch the staged segments, the given buffers and the
+  /// sync stream. `all` drains every buffer (flush/join); otherwise
+  /// only `subset`.
   void drain_locked(const std::vector<ThreadId>& subset, bool all);
+  /// pending_ plus every staged run, merged into one drain_order run
+  /// (the staged runs go back to the spare pool). Clears the staged
+  /// state. Caller holds stream_mutex_.
+  [[nodiscard]] std::vector<Event> take_staged_locked();
+  /// Dispatch (or publish) the prefix of `merged` below `horizon` —
+  /// plus the horizon stamp's own sync event — and hold the rest back
+  /// in pending_. Caller holds stream_mutex_.
+  void dispatch_prefix_locked(std::vector<Event>&& merged, std::uint64_t horizon);
+  /// An empty vector from the spare pool (keeping its capacity), so a
+  /// sealed slot handed back to its owner needs no reallocation; and
+  /// the way back into the pool.
+  [[nodiscard]] std::vector<Event> spare_run_locked();
+  void recycle_run_locked(std::vector<Event>&& run);
   /// Grace-period bookkeeping, called inside drain_locked's registry
   /// section: advance covered buffers' quiescence epochs, then free
   /// every retired buffer whose retirement epoch all live unparked
@@ -410,6 +487,10 @@ class TraceContext {
   void check_object_seqs(const std::vector<Event>& events, std::size_t count);
   void dispatch(const Event& event);
   void dispatch_to(SinkBinding& binding, const Event& event);
+  /// `names`' entry for `id` through a binding's name cache, which is
+  /// filled up to `id` (under intern_mutex_) on first sight.
+  const std::string& cached_name(std::vector<std::string>& cache,
+                                 const race::Interner& names, NameId id);
   /// Publish `events` (consumed) plus the name/waiter-set deltas
   /// interned since the last publish to the attached pipeline (may
   /// block on backpressure). Caller holds stream_mutex_.
@@ -443,6 +524,14 @@ class TraceContext {
   mutable std::mutex stream_mutex_;
   std::vector<Event> sync_stream_;  ///< mutex_stream mode only
   std::vector<Event> pending_;  ///< sorted, beyond a past drain's horizon
+  /// Barrier segments staged for the next drain (each drain_order-
+  /// sorted), the latest staged cycle's sorted waiters, and how many
+  /// cycles are staged. drain_staged leaves the waiters out of its
+  /// horizon only when exactly one cycle is staged.
+  std::vector<std::vector<Event>> staged_runs_;
+  std::vector<ThreadId> staged_waiters_;
+  std::size_t staged_cycles_ = 0;
+  std::vector<std::vector<Event>> spare_runs_;  ///< emptied runs, capacity kept
   std::uint64_t structural_syncs_ = 0;  ///< fork/join/barrier edges recorded
   std::vector<std::vector<ThreadId>> waiter_sets_;  ///< BarrierCycle payloads
   std::vector<SinkBinding> sinks_;

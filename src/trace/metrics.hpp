@@ -47,8 +47,8 @@ struct ThreadMetrics {
   }
 };
 
-/// Lock-free per-worker accumulator for pipelined analysis: a shard
-/// worker (or the router, for sync events) counts into its own delta —
+/// Lock-free per-shard accumulator for pipelined analysis: a shard
+/// (shard 0 alone for sync events) counts into its own delta —
 /// plain integers, no shared atomics on the hot path — and the deltas
 /// are merged into the MetricsSink when the pipeline goes idle. Thread
 /// ids and lock ids are the *context's* ids; lock names are resolved at

@@ -8,15 +8,13 @@
 
 namespace cs31::trace {
 
-// The backpressure primitive lives in common/bounded_queue.hpp now
-// (grader's ingest/worker queues share it); the pipeline only wires
-// the topology: one batch queue into the router, one chunk queue per
-// shard.
+// The backpressure primitive lives in common/bounded_queue.hpp (the
+// grader's worker queues share it); the pipeline only wires the
+// topology: one chunk queue per shard, fed by the publisher.
 
 AnalysisPipeline::AnalysisPipeline(Options options) : options_(options) {
   require(options_.shards >= 1, "analysis pipeline needs at least one shard");
   require(options_.queue_capacity >= 1, "analysis pipeline queue capacity must be >= 1");
-  batches_.capacity = options_.queue_capacity;
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(options_.queue_capacity));
@@ -26,16 +24,13 @@ AnalysisPipeline::AnalysisPipeline(Options options) : options_(options) {
     Shard* s = shard.get();
     shard->worker = std::thread([this, s] { shard_main(*s); });
   }
-  router_ = std::thread([this] { router_main(); });
 }
 
 AnalysisPipeline::~AnalysisPipeline() {
   // Graceful drain: closed queues still deliver what they hold, so
   // everything published before destruction is analyzed.
-  batches_.close();
-  if (router_.joinable()) router_.join();
+  for (auto& shard : shards_) shard->queue.close();
   for (auto& shard : shards_) {
-    shard->queue.close();
     if (shard->worker.joinable()) shard->worker.join();
   }
 }
@@ -46,76 +41,20 @@ void AnalysisPipeline::attach_metrics(MetricsSink& sink) {
   metrics_sink_ = &sink;
 }
 
-void AnalysisPipeline::publish(EventBatch batch) { batches_.push(std::move(batch)); }
-
-void AnalysisPipeline::router_main() {
-  EventBatch batch;
-  std::vector<ShardChunk> staging(shards_.size());
-  while (batches_.pop(batch)) {
-    // Table deltas go to every shard (each keeps private copies) and to
-    // the router's own metrics tables.
-    lock_names_.insert(lock_names_.end(), batch.new_locks.begin(), batch.new_locks.end());
-    waiter_sets_.insert(waiter_sets_.end(), batch.new_waiter_sets.begin(),
-                        batch.new_waiter_sets.end());
-    for (ShardChunk& chunk : staging) {
-      chunk.new_vars = batch.new_vars;
-      chunk.new_locks = batch.new_locks;
-      chunk.new_channels = batch.new_channels;
-      chunk.new_sites = batch.new_sites;
-      chunk.new_waiter_sets = batch.new_waiter_sets;
-    }
-    for (const Event& event : batch.events) {
-      const std::uint64_t index = ++next_index_;
-      if (!is_sync(event.kind)) {
-        // Access event: exactly one shard owns this variable's shadow
-        // state. (Shard metrics count it, so nothing is counted twice.)
-        staging[event.id % shards_.size()].events.push_back(StampedEvent{event, index});
-        continue;
-      }
-      // Sync event: broadcast — every shard advances the same
-      // happens-before state an inline detector would hold.
-      for (ShardChunk& chunk : staging) chunk.events.push_back(StampedEvent{event, index});
-      ++router_metrics_.events;
-      switch (event.kind) {
-        case EventKind::Acquire:
-          // count_acquire bumps events itself; undo the generic bump.
-          --router_metrics_.events;
-          router_metrics_.count_acquire(event.thread, event.id);
-          break;
-        case EventKind::Release:
-          ++router_metrics_.of(event.thread).releases;
-          break;
-        case EventKind::ChannelSend:
-          ++router_metrics_.of(event.thread).sends;
-          break;
-        case EventKind::ChannelRecv:
-          ++router_metrics_.of(event.thread).recvs;
-          break;
-        case EventKind::Fork:
-          (void)router_metrics_.of(event.id);  // the child gets a row
-          break;
-        case EventKind::Join:
-          break;
-        case EventKind::BarrierCycle:
-          for (const ThreadId w : waiter_sets_[event.id]) ++router_metrics_.of(w).barriers;
-          ++router_metrics_.barrier_cycles;
-          break;
-        default:
-          break;
-      }
-    }
-    for (std::size_t s = 0; s < staging.size(); ++s) {
-      ShardChunk& chunk = staging[s];
-      const bool has_deltas = !chunk.new_vars.empty() || !chunk.new_locks.empty() ||
-                              !chunk.new_channels.empty() || !chunk.new_sites.empty() ||
-                              !chunk.new_waiter_sets.empty();
-      if (chunk.events.empty() && !has_deltas) continue;
-      shards_[s]->queue.push(std::move(chunk));
-      staging[s] = ShardChunk{};
-    }
-    batch = EventBatch{};
-    batches_.done();
+void AnalysisPipeline::publish(EventBatch batch) {
+  if (batch.events.empty() && batch.new_vars.empty() && batch.new_locks.empty() &&
+      batch.new_channels.empty() && batch.new_sites.empty() &&
+      batch.new_waiter_sets.empty()) {
+    return;
   }
+  // One immutable batch, shared by every shard: the publisher numbers
+  // the events (event i is global event first + i) and hands each shard
+  // queue a pointer — O(shards), no copy, no per-event work.
+  ShardChunk chunk{std::make_shared<const EventBatch>(std::move(batch)), next_index_ + 1};
+  next_index_ += chunk.batch->events.size();
+  // Batched wake-ups (see the file comment): a sleeping shard thread is
+  // woken at its queue's half-full mark, not per batch.
+  for (auto& shard : shards_) shard->queue.push_batched(chunk);
 }
 
 namespace {
@@ -134,32 +73,65 @@ NameId translate(std::vector<NameId>& map, NameId id, Intern&& intern) {
 }  // namespace
 
 void AnalysisPipeline::shard_main(Shard& shard) {
-  ShardChunk chunk;
-  while (shard.queue.pop(chunk)) {
-    const auto begin = std::chrono::steady_clock::now();
-    shard.vars.insert(shard.vars.end(), chunk.new_vars.begin(), chunk.new_vars.end());
-    shard.locks.insert(shard.locks.end(), chunk.new_locks.begin(), chunk.new_locks.end());
-    shard.channels.insert(shard.channels.end(), chunk.new_channels.begin(),
-                          chunk.new_channels.end());
-    shard.sites.insert(shard.sites.end(), chunk.new_sites.begin(), chunk.new_sites.end());
-    shard.waiter_sets.insert(shard.waiter_sets.end(), chunk.new_waiter_sets.begin(),
-                             chunk.new_waiter_sets.end());
-    for (const StampedEvent& stamped : chunk.events) apply(shard, stamped);
-    ++shard.stats.chunks;
-    shard.stats.busy_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-    chunk = ShardChunk{};
-    shard.queue.done();
+  while (shard.queue.wait_nonempty()) {
+    // A helper may hold the consumer lock mid-batch; taking batches only
+    // under it keeps each shard's batches applied in queue order.
+    std::scoped_lock consumer(shard.consumer);
+    while (consume_one(shard)) {
+    }
   }
 }
 
-void AnalysisPipeline::apply(Shard& shard, const StampedEvent& stamped) {
-  const Event& event = stamped.event;
+bool AnalysisPipeline::help() {
+  bool helped = false;
+  for (auto& shard : shards_) {
+    std::unique_lock consumer(shard->consumer, std::try_to_lock);
+    if (consumer.owns_lock() && consume_one(*shard)) helped = true;
+  }
+  return helped;
+}
+
+bool AnalysisPipeline::consume_one(Shard& shard) {
+  ShardChunk chunk;
+  if (!shard.queue.try_pop(chunk)) return false;
+  const auto begin = std::chrono::steady_clock::now();
+  const EventBatch& batch = *chunk.batch;
+  shard.vars.insert(shard.vars.end(), batch.new_vars.begin(), batch.new_vars.end());
+  shard.locks.insert(shard.locks.end(), batch.new_locks.begin(), batch.new_locks.end());
+  shard.channels.insert(shard.channels.end(), batch.new_channels.begin(),
+                        batch.new_channels.end());
+  shard.sites.insert(shard.sites.end(), batch.new_sites.begin(), batch.new_sites.end());
+  shard.waiter_sets.insert(shard.waiter_sets.end(), batch.new_waiter_sets.begin(),
+                           batch.new_waiter_sets.end());
+  const auto shard_count = static_cast<NameId>(shards_.size());
+  const auto own = static_cast<NameId>(shard.stats.shard);
+  std::uint64_t index = chunk.first_index;
+  for (const Event& event : batch.events) {
+    // Sync events reach every shard, so each advances the same
+    // happens-before state an inline detector would hold; an access
+    // event belongs to exactly one shard, by interned variable id.
+    if (is_sync(event.kind) || shard_count == 1 || event.id % shard_count == own) {
+      apply(shard, event, index);
+    }
+    ++index;
+  }
+  ++shard.stats.chunks;
+  shard.stats.busy_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  chunk = ShardChunk{};  // drop this shard's hold on the batch before done()
+  shard.queue.done();
+  return true;
+}
+
+void AnalysisPipeline::apply(Shard& shard, const Event& event, std::uint64_t index) {
   race::Detector& detector = shard.detector;
-  // Pin the detector's event clock to the router's global numbering, so
-  // this shard's AccessSite.event values — and therefore its reports —
-  // match what an inline detector seeing the whole stream would record.
-  detector.set_event_clock(stamped.index - 1);
+  // Pin the detector's event clock to the publisher's global numbering,
+  // so this shard's AccessSite.event values — and therefore its reports
+  // — match what an inline detector seeing the whole stream would record.
+  // Every detector call below advances the clock by one, so only a jump
+  // (events owned by other shards) needs the extra locked call.
+  if (shard.clock != index - 1) detector.set_event_clock(index - 1);
+  shard.clock = index;
   const ThreadId t = shard.tid_map[event.thread];
   switch (event.kind) {
     case EventKind::Read:
@@ -223,13 +195,46 @@ void AnalysisPipeline::apply(Shard& shard, const StampedEvent& stamped) {
     }
   }
   ++shard.stats.sync_events;
+  if (shard.stats.shard == 0) count_sync(shard, event);
+}
+
+void AnalysisPipeline::count_sync(Shard& shard, const Event& event) {
+  // Every shard sees every sync event; shard 0 alone counts them, so
+  // nothing is counted twice.
+  MetricsDelta& metrics = shard.metrics;
+  switch (event.kind) {
+    case EventKind::Acquire:
+      metrics.count_acquire(event.thread, event.id);  // bumps events itself
+      return;
+    case EventKind::Release:
+      ++metrics.of(event.thread).releases;
+      break;
+    case EventKind::ChannelSend:
+      ++metrics.of(event.thread).sends;
+      break;
+    case EventKind::ChannelRecv:
+      ++metrics.of(event.thread).recvs;
+      break;
+    case EventKind::Fork:
+      (void)metrics.of(event.id);  // the child gets a row
+      break;
+    case EventKind::BarrierCycle:
+      for (const ThreadId w : shard.waiter_sets[event.id]) ++metrics.of(w).barriers;
+      ++metrics.barrier_cycles;
+      break;
+    default:
+      break;
+  }
+  ++metrics.events;
 }
 
 void AnalysisPipeline::wait_idle() {
-  // Stage order matters: once the batch queue is drained the router has
-  // pushed every chunk, so draining each shard queue afterwards proves
-  // every published event was analyzed.
-  batches_.wait_drained();
+  // The caller would only sleep here, so it analyzes what is queued
+  // itself; wait_drained then covers a batch a shard thread or another
+  // helper is still applying (and wakes a shard sitting on batches
+  // below its queue's half-full mark).
+  while (help()) {
+  }
   for (auto& shard : shards_) shard->queue.wait_drained();
   std::scoped_lock lock(merge_mutex_);
   merge_metrics_locked();
@@ -239,15 +244,11 @@ void AnalysisPipeline::merge_metrics_locked() {
   if (metrics_sink_ == nullptr) return;
   // The workers are idle (wait_idle just proved it), so their deltas
   // are stable; merging clears them so the next idle point only adds
-  // what is new.
-  if (!router_metrics_.empty()) {
-    metrics_sink_->merge(router_metrics_, lock_names_);
-    router_metrics_ = MetricsDelta{};
-  }
-  static const std::vector<std::string> kNoLocks;
+  // what is new. Each shard resolves lock ids through its own copy of
+  // the lock table (only shard 0 counts acquires).
   for (auto& shard : shards_) {
     if (shard->metrics.empty()) continue;
-    metrics_sink_->merge(shard->metrics, kNoLocks);
+    metrics_sink_->merge(shard->metrics, shard->locks);
     shard->metrics = MetricsDelta{};
   }
 }
@@ -288,10 +289,6 @@ std::vector<ShardStats> AnalysisPipeline::shard_stats() const {
 
 std::uint64_t AnalysisPipeline::publish_waits() const {
   std::uint64_t total = 0;
-  {
-    std::scoped_lock lock(batches_.mutex);
-    total += batches_.waits;
-  }
   for (const auto& shard : shards_) {
     std::scoped_lock lock(shard->queue.mutex);
     total += shard->queue.waits;
@@ -300,8 +297,12 @@ std::uint64_t AnalysisPipeline::publish_waits() const {
 }
 
 std::uint64_t AnalysisPipeline::batch_high_water() const {
-  std::scoped_lock lock(batches_.mutex);
-  return batches_.high_water;
+  std::uint64_t high = 0;
+  for (const auto& shard : shards_) {
+    std::scoped_lock lock(shard->queue.mutex);
+    high = std::max(high, shard->queue.high_water);
+  }
+  return high;
 }
 
 }  // namespace cs31::trace

@@ -1,40 +1,61 @@
 // Off-critical-path race analysis. Inline sinks run on the *draining*
-// thread — every Life worker sits blocked in the barrier while one
-// thread replays the whole drained stream through every detector, so
-// analysis cost lands squarely on the parallel hot path. An
-// AnalysisPipeline moves that work off the path: a drain publishes its
-// dispatched prefix as one EventBatch to a bounded MPSC queue and
-// returns, shrinking the barrier stall to queue-publish cost. Behind
-// the queue:
+// thread, which replays the whole drained stream through every detector,
+// so analysis cost lands on the parallel hot path. An AnalysisPipeline
+// moves that work off the path: a drain publishes its dispatched prefix
+// as one EventBatch and returns. Behind the publish:
 //
-//   route  — a router thread pops batches in order, assigns each event
-//            its global index (the position it would have had in the
-//            inline dispatch sequence), BROADCASTS sync events to every
-//            shard and ROUTES access events by interned variable id
-//            (var % shards) to exactly one shard.
-//   shard  — N workers, each owning a private race::Detector — a
-//            disjoint slice of FastTrack shadow state. Per-variable
-//            VarState makes the split exact; thread/lock/channel
-//            vector clocks evolve only on the broadcast sync stream, so
+//   route  — the publisher numbers the batch's events (each event's
+//            global index is the position it would have had in the
+//            inline dispatch sequence) and pushes ONE shared, immutable
+//            batch onto every shard's bounded queue: O(shards) pointer
+//            pushes, no copy, no per-event work on the draining thread,
+//            and no router thread in between.
+//   shard  — N shards, each owning a private race::Detector — a
+//            disjoint slice of FastTrack shadow state, and a thread
+//            that applies its batches in queue order (helpers borrow
+//            the same per-shard lock, see below). A shard applies
+//            every sync event and exactly the access events whose
+//            interned variable id it owns (var % shards). Per-variable
+//            VarState makes the split exact; thread/lock/channel vector
+//            clocks evolve only on the sync events every shard sees, so
 //            every shard holds the same happens-before state an inline
 //            detector would, and the shards never share a mutable byte.
-//   merge  — per-shard reports carry the router's global event numbers
+//   merge  — per-shard reports carry the global event numbers
 //            (Detector::set_event_clock), so race::merge_shard_reports
 //            reconstructs inline detection order exactly: reports,
 //            race_count, events, and summary() are byte-identical to
 //            inline mode for ANY shard count and ANY queue capacity.
 //
-// Backpressure: both the batch queue and the per-shard chunk queues are
-// bounded; a publisher that finds its queue full BLOCKS until the
-// consumer catches up, so buffer memory stays capped no matter how far
-// analysis falls behind (publish_waits() counts how often that bit).
+// Where the work runs relative to a traced barrier (see context.hpp and
+// parallel::Barrier::attach_tracer):
+//   before the waiters' release — nothing of the pipeline;
+//   after the release — the last arriver's drain_staged merges and
+//            publishes. A publish is at most one handoff per shard, and
+//            usually none: shard queues are fed with
+//            BoundedQueue::push_batched, so a sleeping shard thread is
+//            woken only when its queue reaches half its capacity (or at
+//            wait_idle / close);
+//   while a later cycle is open — its early arrivers, which would only
+//            sleep, analyze queued batches themselves (help()), so the
+//            analysis fills the barrier's slack.
+// On a host whose cores all run traced workers, every wake-up of an
+// analysis thread takes a core from a worker, and the barrier then waits
+// for that worker; batching the wake-ups and helping from the barrier
+// keep the analysis off the workers' cycles without lifting the memory
+// bound. The shard threads still take whatever the helpers leave.
 //
-// Determinism contract: batches arrive in drain order (the publisher
-// holds the context's stream mutex), the router consumes them FIFO, and
-// each shard consumes its chunks FIFO — so every shard sees its slice
-// of the one globally ordered stream in order, and the merge is a pure
-// function of that stream. Queue capacities and thread scheduling can
-// change *when* analysis happens, never its result.
+// Backpressure: the per-shard queues are bounded; a publisher that
+// finds one full BLOCKS until that shard catches up, so at most
+// queue_capacity batches (plus one per shard in analysis) are alive no
+// matter how far analysis falls behind (publish_waits() counts how often
+// that bit).
+//
+// Determinism contract: batches are published in drain order (the
+// publisher holds the context's stream mutex — publishes must be
+// serialized), and each shard consumes its queue FIFO — so every shard
+// sees its slice of the one globally ordered stream in order, and the
+// merge is a pure function of that stream. Queue capacities and thread
+// scheduling can change *when* analysis happens, never its result.
 //
 // Lifetime: construct the pipeline BEFORE the TraceContext that feeds
 // it (destruction then stops the workers after the context's last
@@ -73,8 +94,8 @@ struct EventBatch {
 /// pipeline's analysis capacity with this shard count.
 struct ShardStats {
   std::size_t shard = 0;
-  std::uint64_t access_events = 0;  ///< routed here exclusively
-  std::uint64_t sync_events = 0;    ///< broadcast to every shard
+  std::uint64_t access_events = 0;  ///< owned by this shard exclusively
+  std::uint64_t sync_events = 0;    ///< applied by every shard
   std::uint64_t chunks = 0;
   double busy_seconds = 0.0;
 };
@@ -83,7 +104,7 @@ class AnalysisPipeline {
  public:
   struct Options {
     std::size_t shards = 2;         ///< analysis workers (>= 1)
-    std::size_t queue_capacity = 8; ///< max pending batches/chunks per queue (>= 1)
+    std::size_t queue_capacity = 8; ///< max pending batches per shard queue (>= 1)
   };
 
   AnalysisPipeline() : AnalysisPipeline(Options{}) {}
@@ -93,21 +114,31 @@ class AnalysisPipeline {
   AnalysisPipeline(const AnalysisPipeline&) = delete;
   AnalysisPipeline& operator=(const AnalysisPipeline&) = delete;
 
-  /// Also maintain event-mix metrics: the router and each shard count
-  /// into private MetricsDeltas (no shared state on the hot path),
+  /// Also maintain event-mix metrics: each shard counts into a private
+  /// MetricsDelta (no shared state on the hot path; shard 0 also counts
+  /// the sync events every shard sees),
   /// merged into `sink` each time the pipeline goes idle. Attach before
   /// the first publish; the sink must outlive the pipeline.
   void attach_metrics(MetricsSink& sink);
 
   // --- producer side (called by TraceContext) --------------------------
 
-  /// Enqueue one drained batch. Blocks while the queue is full — the
-  /// backpressure that caps memory. Order across publishers is the
-  /// caller's job (TraceContext publishes under its stream mutex).
+  /// Number one drained batch and enqueue it on every shard. Blocks
+  /// while a shard queue is full — the backpressure that caps memory.
+  /// Calls must be serialized by the caller (TraceContext publishes
+  /// under its stream mutex).
   void publish(EventBatch batch);
 
-  /// Block until every published event has been routed and analyzed
-  /// (and metrics deltas merged). TraceContext::flush calls this, so
+  /// Analyze one queued batch per shard on the calling thread, for each
+  /// shard no other thread is analyzing right now; false when there was
+  /// nothing to take. A thread that would otherwise sleep — a barrier's
+  /// early arrivers, a flush waiting for idle — lends its core this way.
+  /// Order per shard is kept: the shard thread and helpers take batches
+  /// under one per-shard lock.
+  bool help();
+
+  /// Block until every published event has been analyzed (and metrics
+  /// deltas merged). The caller helps while it waits. TraceContext::flush calls this, so
   /// the read-the-verdict rule is unchanged: flush, then read.
   void wait_idle();
 
@@ -117,36 +148,35 @@ class AnalysisPipeline {
   [[nodiscard]] std::vector<race::RaceReport> races() const;
   [[nodiscard]] bool race_free() const;
   [[nodiscard]] std::uint64_t race_count() const;
-  /// Total events routed — equals the inline detector's events().
+  /// Total events published — equals the inline detector's events().
   [[nodiscard]] std::uint64_t events() const;
   /// Byte-identical to the inline Detector::summary() for the same run.
   [[nodiscard]] std::string summary() const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] std::vector<ShardStats> shard_stats() const;
-  /// How often a publisher blocked on a full queue (batch + chunk).
+  /// How often a publisher blocked on a full shard queue.
   [[nodiscard]] std::uint64_t publish_waits() const;
+  /// Deepest any shard queue has been, in batches.
   [[nodiscard]] std::uint64_t batch_high_water() const;
 
  private:
-  struct StampedEvent {
-    Event event;
-    std::uint64_t index = 0;  ///< 1-based global event number
-  };
-
-  /// What the router hands a shard: its slice of one batch, plus the
-  /// table deltas (each shard keeps private copies — duplication buys
-  /// zero sharing between analysis threads).
+  /// What a shard queue holds: a batch shared by every shard, and the
+  /// global number of its first event.
   struct ShardChunk {
-    std::vector<StampedEvent> events;
-    std::vector<std::string> new_vars, new_locks, new_channels, new_sites;
-    std::vector<std::vector<ThreadId>> new_waiter_sets;
+    std::shared_ptr<const EventBatch> batch;
+    std::uint64_t first_index = 0;  ///< 1-based
   };
 
   struct Shard {
     explicit Shard(std::size_t cap) { queue.capacity = cap; }
     common::BoundedQueue<ShardChunk> queue;
+    /// Held while taking and applying a batch (by the shard thread or a
+    /// helper): batches apply in queue order, and it guards the state
+    /// below.
+    std::mutex consumer;
     std::thread worker;
     race::Detector detector;
+    std::uint64_t clock = 0;  ///< the detector's event clock (events applied)
     // Context-id translation state, mirroring the inline SinkBinding.
     std::vector<ThreadId> tid_map{0};  ///< context tid -> detector tid
     std::vector<NameId> var_map, lock_map, channel_map, site_map;
@@ -156,22 +186,21 @@ class AnalysisPipeline {
     ShardStats stats;
   };
 
-  void router_main();
   void shard_main(Shard& shard);
-  void apply(Shard& shard, const StampedEvent& stamped);
+  /// Take and apply the shard's next batch; false when its queue is
+  /// empty. Caller holds shard.consumer.
+  bool consume_one(Shard& shard);
+  void apply(Shard& shard, const Event& event, std::uint64_t index);
+  /// Shard 0's share of the metrics: the sync-event mix.
+  static void count_sync(Shard& shard, const Event& event);
   void merge_metrics_locked();
 
   const Options options_;
-  common::BoundedQueue<EventBatch> batches_;
-  std::thread router_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Router-owned (no lock needed: only the router thread touches them
-  // while running; readers wait for idle first).
+  /// Publisher-owned (publishes are serialized by the caller; readers
+  /// wait for idle first): events numbered so far.
   std::uint64_t next_index_ = 0;
-  std::vector<std::string> lock_names_;  ///< for the metrics merge
-  std::vector<std::vector<ThreadId>> waiter_sets_;  ///< for barrier metrics
-  MetricsDelta router_metrics_;
 
   /// Serializes only the idle-point delta merge (two concurrent
   /// wait_idle callers must not fold the same delta twice) and sink

@@ -14,8 +14,8 @@
 //     byte stream — the streams, the detector certificates, and the
 //     context's own drain/capture counters must match exactly;
 //   - a slice of the corpus additionally runs through AnalysisPipeline
-//     at {1, 2, 4} shards in both modes, so the sharded router sees the
-//     same batches whichever design drained them;
+//     at {1, 2, 4} shards in both modes, so the shards see the same
+//     batches whichever design drained them;
 //   - real OS threads: the Lab 10 ParallelLife engine, a capacity-1
 //     BoundedBuffer handoff (strict put/get alternation makes the
 //     real-thread stream deterministic), a TracedCondVar handoff, and a

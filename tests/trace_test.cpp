@@ -9,10 +9,12 @@
 // inline sink's).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -130,6 +132,30 @@ TEST(TraceCapture, MetricsSinkCountsTheEventMix) {
   EXPECT_EQ(metrics.barrier_cycles(), 1u);
   EXPECT_TRUE(metrics.race_free());
   EXPECT_TRUE(metrics.races().empty());
+}
+
+TEST(TraceCapture, DrainBetweenStageAndDrainStagedMergesTheStagedCycle) {
+  // A barrier's own drain runs after its waiters are released. Any drain
+  // that gets in first must merge the staged cycle itself — so the
+  // barrier edge still orders a's write before b's read — and the
+  // barrier's drain_staged then has nothing left to do.
+  const auto race_free_after = [](bool report) {
+    TraceContext ctx;
+    const NameId x = ctx.intern_var("x");
+    const ThreadId a = ctx.fork_thread(0);
+    const ThreadId b = ctx.fork_thread(0);
+    ctx.write_as(a, x, ctx.intern_site("a before the barrier"));
+    ctx.stage_barrier_cycle({a, b}, report);
+    ctx.flush();  // the intervening drain
+    const std::uint64_t drains = ctx.drains();
+    ctx.drain_staged();
+    EXPECT_EQ(ctx.drains(), drains);
+    ctx.read_as(b, x, ctx.intern_site("b after the barrier"));
+    ctx.flush();
+    return ctx.detector().race_free();
+  };
+  EXPECT_TRUE(race_free_after(/*report=*/true));
+  EXPECT_FALSE(race_free_after(/*report=*/false));  // the control: no edge, a race
 }
 
 // --- real-thread traced ParallelLife ---------------------------------
@@ -313,7 +339,7 @@ TEST(AnalysisPipelineTest, CapacityTwoQueueForcesBackpressureAndStaysExact) {
   };
 
   // Inline reference: the identical stream through one Detector, which
-  // numbers events exactly like the router does.
+  // numbers events exactly like the pipeline's publisher does.
   const auto inline_detector = std::make_unique<race::Detector>();
   {
     std::vector<NameId> var_ids;
@@ -417,6 +443,41 @@ TEST(AnalysisPipelineTest, MergedMetricsEqualTheInlineSink) {
     EXPECT_EQ(piped_threads[t].releases, inline_threads[t].releases) << "thread " << t;
     EXPECT_EQ(piped_threads[t].barriers, inline_threads[t].barriers) << "thread " << t;
   }
+}
+
+TEST(AnalysisPipelineTest, HelpersKeepTheCertificateExact) {
+  // Threads lending themselves to the analysis (help()) compete with the
+  // shard threads and the barrier's early arrivers for batches; each
+  // shard still applies its batches in queue order, so the certificate
+  // is the inline one.
+  const life::Grid initial = life::Grid::random(16, 16, 0.3, 11);
+  const auto inline_ctx = std::make_unique<TraceContext>();
+  life::ParallelLife inline_life(initial, 4);
+  inline_life.run(6, {.ctx = inline_ctx.get()});
+  inline_ctx->flush();
+
+  const auto pipeline = std::make_unique<AnalysisPipeline>(
+      AnalysisPipeline::Options{.shards = 2, .queue_capacity = 2});
+  const auto ctx = std::make_unique<TraceContext>(
+      TraceContext::Options{.own_detector = false});
+  ctx->attach_pipeline(*pipeline);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> helpers;
+  for (int h = 0; h < 2; ++h) {
+    helpers.emplace_back([&] {
+      while (!stop.load()) {
+        if (!pipeline->help()) std::this_thread::yield();
+      }
+    });
+  }
+  life::ParallelLife life(initial, 4);
+  life.run(6, {.ctx = ctx.get()});
+  ctx->flush();
+  stop = true;
+  for (std::thread& h : helpers) h.join();
+
+  EXPECT_EQ(pipeline->summary(), inline_ctx->detector().summary());
+  EXPECT_EQ(pipeline->events(), inline_ctx->detector().events());
 }
 
 TEST(AnalysisPipelineTest, PipelineRequiresAFreshContext) {

@@ -14,7 +14,7 @@
 //           and TSan must stay silent — which certifies the
 //           TraceContext capture layer (per-thread buffers, sync-stream
 //           stamping, barrier drains) AND the pipeline's own threading
-//           (bounded queues, router handoff, shard workers, metrics
+//           (bounded queues, shard workers, barrier helpers, metrics
 //           merge) as free of real races.
 //   cv-clean — a producer/consumer handoff with correct wait/notify
 //           discipline, traced through TracedCondVar (cs31::race must
@@ -89,10 +89,10 @@ int run_clean() {
   }
 
   // The same run with analysis off the critical path: capture threads
-  // publish into the pipeline's bounded queues while the router and two
-  // shard workers consume — every handoff in that machinery is real
-  // concurrency TSan must find clean, and the certificate must still be
-  // byte-identical to the inline detector's.
+  // publish into the pipeline's bounded queues while two shard threads
+  // and the barrier's helpers consume — every handoff in that machinery
+  // is real concurrency TSan must find clean, and the certificate must
+  // still be byte-identical to the inline detector's.
   {
     cs31::trace::AnalysisPipeline pipeline(
         cs31::trace::AnalysisPipeline::Options{.shards = 2, .queue_capacity = 2});
