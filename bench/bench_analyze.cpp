@@ -35,6 +35,7 @@
 #include "ccomp/parser.hpp"
 #include "isa/assembler.hpp"
 #include "isa/maze.hpp"
+#include "oracles/script_gen.hpp"
 #include "race/explore.hpp"
 
 namespace {

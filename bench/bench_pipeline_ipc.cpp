@@ -23,9 +23,9 @@
 #include "bench_json.hpp"
 #include "isa/machine.hpp"
 #include "isa/maze.hpp"
-#include "isa/program_gen.hpp"
 #include "logic/cpu.hpp"
 #include "logic/pipeline.hpp"
+#include "oracles/program_gen.hpp"
 
 namespace {
 

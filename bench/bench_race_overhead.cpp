@@ -70,10 +70,10 @@
 #include "bench_json.hpp"
 #include "life/life.hpp"
 #include "life/traced.hpp"
+#include "oracles/lockset.hpp"
+#include "oracles/reference.hpp"
 #include "parallel/threads.hpp"
 #include "race/detector.hpp"
-#include "race/lockset.hpp"
-#include "race/reference.hpp"
 #include "trace/context.hpp"
 #include "trace/instrumented.hpp"
 #include "trace/metrics.hpp"

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "oracles/script_gen.hpp"
 #include "race/explore.hpp"
 #include "race/replay.hpp"
 

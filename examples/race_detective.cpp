@@ -22,10 +22,10 @@
 #include "analyze/checks_script.hpp"
 #include "life/life.hpp"
 #include "life/traced.hpp"
+#include "oracles/lockset.hpp"
 #include "parallel/sync.hpp"
 #include "parallel/threads.hpp"
 #include "race/explore.hpp"
-#include "race/lockset.hpp"
 #include "race/replay.hpp"
 #include "trace/context.hpp"
 #include "trace/instrumented.hpp"

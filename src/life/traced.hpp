@@ -79,8 +79,9 @@ struct TracedLifeOptions {
 
 /// Same access pattern, driven through any detector implementation via
 /// the generic (string) event interface. This is how bench_race_overhead
-/// replays the identical event stream through the PR 1 ReferenceDetector
-/// to quantify the compression, and how a differential check can compare
+/// replays the identical event stream through the full-vector-clock
+/// ReferenceDetector (tests/oracles/reference.hpp) to quantify the
+/// compression, and how a differential check can compare
 /// verdicts on the real Lab 10 workload. The sink must be fresh.
 [[nodiscard]] TracedLifeResult traced_life_check_with(race::EventSink& sink,
                                                       const Grid& initial,

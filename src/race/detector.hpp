@@ -3,12 +3,13 @@
 //
 // `EventSink` is the contract every detector implementation honours:
 // the instrumentation layer (shadow.hpp), the replay engine
-// (replay.hpp), and the fuzz-trace runner (trace_gen.hpp) all speak it,
-// so the same event stream can be fed to any implementation — which is
-// exactly what the differential harness in tests/race_diff_test.cpp
-// does with `Detector` (this file) and `ReferenceDetector`
-// (reference.hpp, PR 1's full-vector-clock algorithm, kept as the
-// executable specification).
+// (replay.hpp), and the test oracles' fuzz-trace runner
+// (tests/oracles/trace_gen.hpp) all speak it, so the same event stream
+// can be fed to any implementation — which is exactly what the
+// differential harness in tests/race_diff_test.cpp does with `Detector`
+// (this file) and `ReferenceDetector` (tests/oracles/reference.hpp, the
+// full-vector-clock algorithm, kept beside the tests as the executable
+// specification).
 //
 // `Detector` is the production implementation, rebuilt around
 // FastTrack's observation (Flanagan & Freund, PLDI 2009) that almost

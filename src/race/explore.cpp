@@ -38,10 +38,7 @@ class Engine {
       : ops_(ir.threads()), options_(options), threads_(ops_.size()), state_(ir) {
     // Only the script lengths matter to the multinomial.
     std::vector<std::vector<std::string>> shape;
-    for (const auto& script : ops_) {
-      shape.emplace_back(script.size());
-      total_ops_ += script.size();
-    }
+    for (const auto& script : ops_) shape.emplace_back(script.size());
     result_.interleavings_total = os::interleaving_count(shape, result_.total_saturated);
     const auto ids = [&ir](ObjectKind kind, const std::vector<std::string>& names) {
       std::set<std::uint32_t> out;
@@ -251,15 +248,12 @@ class Engine {
 
     if (en.empty()) {
       // Complete schedule, or (blocking mode) a maximal stuck prefix:
-      // someone still has ops but nobody can move. Both are emitted —
-      // the prefix carries real race evidence too — and the stuck
-      // state is recorded once per position vector.
-      if (depth == total_ops_) {
-        emit();
-      } else {
-        emit();
-        if (!stop_) record_deadlock();
-      }
+      // someone still has ops, or waits at a barrier that can never
+      // complete, and nobody can move. Both are emitted — the prefix
+      // carries real race evidence too — and the stuck state is
+      // recorded once per position vector.
+      emit();
+      if (options_.model_blocking && !state_.all_done() && !stop_) record_deadlock();
       return;
     }
 
@@ -362,7 +356,7 @@ class Engine {
     }
     for (RaceReport& r : res.races) {
       if (seen_.insert(race_pair_key(r.variable, r.first, r.second)).second) {
-        if (options_.reprioritize_on_discovery) add_hint(r.first.where, r.second.where);
+        add_hint(r.first.where, r.second.where);
         result_.races.push_back(std::move(r));
       }
     }
@@ -381,7 +375,6 @@ class Engine {
   std::set<std::uint32_t> independent_vars_;     ///< pruned var ids (dep())
   std::set<std::uint32_t> independent_mutexes_;  ///< pure-guard mutex ids (dep())
   std::size_t threads_;
-  std::size_t total_ops_ = 0;
 
   // Walk state. The blocking state moves with every execute/undo; only
   // model_blocking reads its enabledness.
@@ -461,120 +454,6 @@ std::string ExploreResult::summary() const {
         << deadlocks.size() << " distinct stuck state(s)";
   }
   return out.str();
-}
-
-// ---------------------------------------------------------------------
-// Seeded script generator (splitmix64, the trace_gen pattern)
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct SplitMix64 {
-  std::uint64_t state;
-  std::uint64_t next() {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t bound) { return bound == 0 ? 0 : next() % bound; }
-};
-
-}  // namespace
-
-std::vector<std::vector<std::string>> generate_script(std::uint64_t seed,
-                                                      ScriptGenConfig config) {
-  SplitMix64 rng{seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull};
-  std::vector<std::vector<std::string>> scripts(config.threads);
-  for (std::size_t t = 0; t < config.threads; ++t) {
-    std::vector<std::uint32_t> held;  // lock ids, acquisition order
-    auto& script = scripts[t];
-
-    // Lock-order-cycle shape: a thread-rotated two-lock nest, so any
-    // two adjacent-rotation threads that both draw the shape acquire
-    // the pair in conflicting orders (the ABBA deadlock).
-    if (config.lock_cycles && config.locks >= 2 && rng.below(2) == 0) {
-      const auto a = static_cast<std::uint32_t>(t % config.locks);
-      const auto b = static_cast<std::uint32_t>((t + 1) % config.locks);
-      script.push_back("lock m" + std::to_string(a));
-      script.push_back("lock m" + std::to_string(b));
-      held.push_back(a);
-      held.push_back(b);
-    }
-
-    // Emit one shared access, wrapped in its variable's consistent
-    // guard in lock-discipline mode (or bare when the guard is already
-    // held — the access is still under it either way).
-    const auto shared_access = [&](std::uint64_t v, std::string access) {
-      if (config.lock_discipline && config.locks > 0) {
-        const auto g = static_cast<std::uint32_t>(v % config.locks);
-        if (std::find(held.begin(), held.end(), g) == held.end()) {
-          script.push_back("lock m" + std::to_string(g));
-          script.push_back(std::move(access));
-          script.push_back("unlock m" + std::to_string(g));
-          return;
-        }
-      }
-      script.push_back(std::move(access));
-    };
-
-    while (script.size() < config.ops_per_thread) {
-      switch (rng.below(8)) {
-        case 0:
-        case 1: {  // shared-variable access, the racy surface
-          const std::uint64_t v = rng.below(config.shared_vars);
-          const std::string var = "z" + std::to_string(v);
-          shared_access(v, (rng.below(2) == 0 ? "read " : "write ") + var);
-          break;
-        }
-        case 2: {  // private-variable access (independent with everything)
-          if (config.private_vars == 0) break;
-          const std::string var = "p" + std::to_string(t) + "_" +
-                                  std::to_string(rng.below(config.private_vars));
-          script.push_back((rng.below(2) == 0 ? "read " : "write ") + var);
-          break;
-        }
-        case 3:
-        case 4: {  // lock or unlock, respecting per-thread discipline
-          if (config.locks == 0 || config.lock_discipline) break;
-          if (!held.empty() && rng.below(2) == 0) {
-            script.push_back("unlock m" + std::to_string(held.back()));
-            held.pop_back();
-          } else {
-            const auto m = static_cast<std::uint32_t>(rng.below(config.locks));
-            if (std::find(held.begin(), held.end(), m) != held.end()) break;
-            script.push_back("lock m" + std::to_string(m));
-            held.push_back(m);
-          }
-          break;
-        }
-        case 5:
-        case 6: {  // channel send/recv
-          if (config.channels == 0) break;
-          const std::string ch = "q" + std::to_string(rng.below(config.channels));
-          script.push_back((rng.below(2) == 0 ? "send " : "recv ") + ch);
-          break;
-        }
-        default: {  // another shared access; keeps verdicts mixed
-          const std::uint64_t v = rng.below(config.shared_vars);
-          shared_access(v, "write z" + std::to_string(v));
-          break;
-        }
-      }
-    }
-    // Channel-misuse shape: an extra recv with no matching send budget,
-    // emitted while any nest is still held so recv-under-lock
-    // communication deadlocks appear too.
-    if (config.channel_misuse && config.channels > 0 && rng.below(2) == 0) {
-      script.push_back("recv q" + std::to_string(rng.below(config.channels)));
-    }
-    while (!held.empty()) {  // balance: release everything still held
-      script.push_back("unlock m" + std::to_string(held.back()));
-      held.pop_back();
-    }
-    if (config.barriers) script.push_back("barrier");
-  }
-  return scripts;
 }
 
 }  // namespace cs31::race

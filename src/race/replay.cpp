@@ -167,8 +167,6 @@ DeadlockSearchResult find_deadlocks(const std::vector<std::vector<std::string>>&
   // unlock-without-lock throw here, never mid-search.
   const ScriptIr ir = parse_scripts(scripts);
   check_lock_discipline(ir);
-  std::size_t ops = 0;
-  for (const auto& thread : ir.threads()) ops += thread.size();
 
   // Memoized DFS over position vectors, which determine the rest of the
   // blocking state because scripts are straight-line.
@@ -191,7 +189,7 @@ DeadlockSearchResult find_deadlocks(const std::vector<std::vector<std::string>>&
       self(self);
       state.undo(t);
     }
-    if (!any_enabled && state.trail().size() < ops) out.deadlocks.push_back(state.stuck());
+    if (!any_enabled && !state.all_done()) out.deadlocks.push_back(state.stuck());
   };
   visit(visit);
   return out;

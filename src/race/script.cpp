@@ -149,6 +149,13 @@ bool BlockingState::enabled(std::uint32_t t) const {
   return true;
 }
 
+bool BlockingState::all_done() const {
+  for (std::uint32_t t = 0; t < ops_.size(); ++t) {
+    if (!done(t)) return false;
+  }
+  return true;
+}
+
 void BlockingState::step(std::uint32_t t, bool forward) {
   if (!forward) {
     --pos_[t];
@@ -174,7 +181,7 @@ void BlockingState::step(std::uint32_t t, bool forward) {
 DeadlockState BlockingState::stuck() const {
   DeadlockState state;
   for (std::uint32_t t = 0; t < ops_.size(); ++t) {
-    if (finished(t)) continue;
+    if (done(t)) continue;
     const bool at_barrier = parked(t);
     const ParsedOp& op = at_barrier ? ops_[t][pos_[t] - 1] : next(t);
     state.waiting.push_back(op.text);

@@ -119,6 +119,13 @@ class BlockingState {
   /// held mutex, not a recv on an empty channel.
   [[nodiscard]] bool enabled(std::uint32_t t) const;
 
+  /// Thread t ran every op and is not parked at its last barrier, which
+  /// would still wait for a cycle to complete.
+  [[nodiscard]] bool done(std::uint32_t t) const { return finished(t) && !parked(t); }
+
+  /// Every thread is done: a complete schedule, not a stuck one.
+  [[nodiscard]] bool all_done() const;
+
   /// Run thread t's next op, enabled or not (a walk that ignores
   /// blocking shares this state); undo takes it back, LIFO.
   void execute(std::uint32_t t) { step(t, true); }
@@ -127,7 +134,7 @@ class BlockingState {
   [[nodiscard]] const std::vector<std::size_t>& positions() const { return pos_; }
   [[nodiscard]] const std::vector<const ParsedOp*>& trail() const { return trail_; }
 
-  /// The stuck state here (no thread enabled, some unfinished).
+  /// The stuck state here (no thread enabled, some not done).
   [[nodiscard]] DeadlockState stuck() const;
 
  private:

@@ -32,9 +32,10 @@
 //               mutex-ordered stream exactly.
 //   sinks     — every attached race::EventSink consumes the identical
 //               drained stream: the built-in FastTrack race::Detector
-//               (fed through its interned-id fast path), the
-//               ReferenceDetector, the Eraser-style LocksetDetector,
-//               a MetricsSink, anything else honouring the interface.
+//               (fed through its interned-id fast path), the test
+//               oracles' ReferenceDetector and Eraser-style
+//               LocksetDetector (tests/oracles/), a MetricsSink,
+//               anything else honouring the interface.
 //
 // Ordering (why lock-free capture drains byte-identically):
 //   1. Stamps are fetch_adds on one atomic, so they are unique and

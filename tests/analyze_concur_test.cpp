@@ -19,6 +19,7 @@
 #include "analyze/checks_script.hpp"
 #include "analyze/concur.hpp"
 #include "common/error.hpp"
+#include "oracles/script_gen.hpp"
 #include "race/explore.hpp"
 #include "race/replay.hpp"
 
@@ -389,20 +390,26 @@ TEST(ConcurChecks, RecvNoSendIsGuaranteedAndConfirmed) {
 }
 
 TEST(ConcurChecks, BarrierStarvationIsGuaranteedAndConfirmed) {
-  const std::vector<std::vector<std::string>> scripts = {
-      {"barrier", "barrier", "write z"},
-      {"barrier", "write z"},
+  // In the second input the starved arrival is t0's last op: t0 runs
+  // its whole script yet stays parked, which is still a stuck state.
+  const std::vector<std::vector<std::vector<std::string>>> inputs = {
+      {{"barrier", "barrier", "write z"}, {"barrier", "write z"}},
+      {{"barrier", "barrier"}, {"barrier"}},
   };
-  const ConcurSummary summary = analyze_scripts(scripts);
-  ASSERT_EQ(summary.deadlocks.size(), 1u);
-  EXPECT_EQ(summary.deadlocks.front().kind, "barrier-starvation");
-  EXPECT_TRUE(summary.deadlocks.front().guaranteed);
-  const Diagnostic* diag = find_pass(summary, "barrier-starvation");
-  ASSERT_NE(diag, nullptr);
-  EXPECT_EQ(diag->to_string(),
-            "error[barrier-starvation] line 2 in 't0': barrier arrival 2 can never "
-            "complete: t1 arrive(s) only 1 time(s)");
-  EXPECT_FALSE(find_deadlocks(scripts).deadlock_free());
+  for (const auto& scripts : inputs) {
+    const ConcurSummary summary = analyze_scripts(scripts);
+    ASSERT_EQ(summary.deadlocks.size(), 1u);
+    EXPECT_EQ(summary.deadlocks.front().kind, "barrier-starvation");
+    EXPECT_TRUE(summary.deadlocks.front().guaranteed);
+    const Diagnostic* diag = find_pass(summary, "barrier-starvation");
+    ASSERT_NE(diag, nullptr);
+    EXPECT_EQ(diag->to_string(),
+              "error[barrier-starvation] line 2 in 't0': barrier arrival 2 can never "
+              "complete: t1 arrive(s) only 1 time(s)");
+    const std::multiset<std::string> starved = {"t0 barrier->barrier;"};
+    EXPECT_EQ(stuck_states(find_deadlocks(scripts).deadlocks), starved);
+    EXPECT_EQ(stuck_states(explore_races(scripts, blocking()).deadlocks), starved);
+  }
 }
 
 TEST(ConcurChecks, ThreadLocalVarsAndJson) {
@@ -445,10 +452,14 @@ TEST(ConcurChecks, CycleComponentsFindsSccsAndSelfLoops) {
   edges.push_back({"b", "a", nullptr});
   edges.push_back({"b", "c", nullptr});  // c: no cycle
   edges.push_back({"d", "d", nullptr});  // self-loop
+  edges.push_back({"A", "B", nullptr});  // three-lock ring
+  edges.push_back({"B", "C", nullptr});
+  edges.push_back({"C", "A", nullptr});
   const auto components = cycle_components(edges);
-  ASSERT_EQ(components.size(), 2u);
-  EXPECT_EQ(components[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(components[1], (std::vector<std::string>{"d"}));
+  ASSERT_EQ(components.size(), 3u);
+  EXPECT_EQ(components[0], (std::vector<std::string>{"A", "B", "C"}));
+  EXPECT_EQ(components[1], (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(components[2], (std::vector<std::string>{"d"}));
 }
 
 TEST(ConcurChecks, SeedExploreOptionsWiresGuidanceAndPruning) {

@@ -251,7 +251,8 @@ TEST(Toolchain, ScriptVerdictsAreGolden) {
   // parse errors, the Explorer's lock discipline (a multiset, so a
   // re-lock pair is accepted and deadlocks) beside concur's lenient
   // walk, ignored trailing tokens with the op's own spacing in the race
-  // note, and a barrier-count mismatch.
+  // note, and a barrier-count mismatch (t0 ends parked at a barrier
+  // that never completes: a stuck state, so deadlock_found).
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"spin c",
        R"j({"status":"invalid","score":0,"result":0,"instructions":0,"events":0,"races":0,"notes":["concur op 'spin c': unknown verb 'spin'"]})j"},
@@ -264,7 +265,7 @@ TEST(Toolchain, ScriptVerdictsAreGolden) {
       {"write  x  junk\nread x",
        R"j({"status":"race_found","score":30,"result":2,"instructions":0,"events":4,"races":1,"notes":["warning[static-race] line 1 in 't0': 'x' may race: 't0 write  x  junk' and 't1 read x' can run unordered; locksets {} vs {} share no lock and no barrier orders the pair\n    note: second access: 't1 read x' (t1 op 1)","race on x: t0 write  x  junk vs t1 read x"]})j"},
       {"barrier; barrier\nbarrier",
-       R"j({"status":"race_free","score":95,"result":2,"instructions":0,"events":2,"races":0,"notes":["error[barrier-starvation] line 2 in 't0': barrier arrival 2 can never complete: t1 arrive(s) only 1 time(s)"]})j"},
+       R"j({"status":"deadlock_found","score":20,"result":2,"instructions":0,"events":2,"races":0,"notes":["error[barrier-starvation] line 2 in 't0': barrier arrival 2 can never complete: t1 arrive(s) only 1 time(s)","deadlock after 3 step(s): 't0 barrier' waits on barrier"]})j"},
   };
   for (const auto& [body, golden] : cases) {
     EXPECT_EQ(run_toolchain({"s", SubmissionKind::Script, body}, test_limits()).to_json(),

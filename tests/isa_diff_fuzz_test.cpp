@@ -29,32 +29,12 @@
 #include "isa/assembler.hpp"
 #include "isa/machine.hpp"
 #include "isa/maze.hpp"
-#include "isa/program_gen.hpp"
 #include "isa/samples.hpp"
+#include "oracles/program_gen.hpp"
+#include "oracles/splitmix64.hpp"
 
 namespace cs31::isa {
 namespace {
-
-/// splitmix64, for the chunk schedule — same generator family as
-/// program_gen, so the whole repro is two seeds (here they coincide).
-class SplitMix64 {
- public:
-  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  std::uint32_t below(std::uint32_t bound) {
-    return bound == 0 ? 0 : static_cast<std::uint32_t>(next() % bound);
-  }
-
- private:
-  std::uint64_t state_;
-};
 
 /// Everything architecturally observable about a machine short of its
 /// memory image, as one comparable, printable value.
@@ -110,7 +90,9 @@ void run_pair(Machine& fast, Machine& slow, std::uint64_t seed, std::uint32_t ch
               const std::string& repro) {
   ASSERT_EQ(fast.core(), Machine::Core::Predecoded) << repro;
   slow.set_core(Machine::Core::Switch);
-  SplitMix64 rng(seed ^ 0xD1FFF022ULL);
+  // program_gen's generator, so the whole repro is two seeds (here
+  // they coincide).
+  oracles::SplitMix64 rng(seed ^ 0xD1FFF022ULL);
   constexpr std::size_t kMaxTotal = 4'000'000;  // runaway guard, never a comparison
   std::size_t total = 0;
   while (total < kMaxTotal) {

@@ -30,8 +30,8 @@
 #include "ccomp/codegen.hpp"
 #include "isa/assembler.hpp"
 #include "isa/machine.hpp"
-#include "isa/program_gen.hpp"
 #include "isa/samples.hpp"
+#include "oracles/program_gen.hpp"
 
 namespace cs31::isa {
 namespace {

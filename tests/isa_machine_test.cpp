@@ -11,7 +11,7 @@
 #include "isa/machine.hpp"
 #include "isa/maze.hpp"
 #include "isa/predecode.hpp"
-#include "isa/program_gen.hpp"
+#include "oracles/program_gen.hpp"
 
 namespace cs31::isa {
 namespace {

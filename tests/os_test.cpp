@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "oracles/splitmix64.hpp"
 #include "os/interleave.hpp"
 #include "os/kernel.hpp"
 
@@ -410,22 +411,16 @@ TEST(Interleave, PossibilityCheckAgreesWithEnumerationOnRandomScripts) {
   // Property: is_possible_output(claimed) is exactly membership in
   // all_interleavings — for every true member, and for shuffled
   // same-multiset candidates that may or may not respect program order.
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  const auto next = [&state] {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  };
+  oracles::SplitMix64 rng(0x9e3779b97f4a7c15ull);
   const std::vector<std::string> alphabet = {"a", "b", "c"};
 
   for (int trial = 0; trial < 40; ++trial) {
-    std::vector<std::vector<std::string>> seqs(2 + next() % 2);
+    std::vector<std::vector<std::string>> seqs(2 + rng.below(2));
     std::vector<std::string> pool;
     for (auto& seq : seqs) {
-      const std::size_t len = 2 + next() % 3;
+      const std::size_t len = 2 + rng.below(3);
       for (std::size_t i = 0; i < len; ++i) {
-        seq.push_back(alphabet[next() % alphabet.size()]);  // duplicates welcome
+        seq.push_back(alphabet[rng.below(alphabet.size())]);  // duplicates welcome
         pool.push_back(seq.back());
       }
     }
@@ -437,7 +432,7 @@ TEST(Interleave, PossibilityCheckAgreesWithEnumerationOnRandomScripts) {
     for (int candidate = 0; candidate < 20; ++candidate) {
       std::vector<std::string> claimed = pool;  // right multiset, random order
       for (std::size_t i = claimed.size(); i > 1; --i) {
-        std::swap(claimed[i - 1], claimed[next() % i]);
+        std::swap(claimed[i - 1], claimed[rng.below(i)]);
       }
       EXPECT_EQ(is_possible_output(seqs, claimed), members.count(claimed) != 0)
           << "trial " << trial;

@@ -1,7 +1,7 @@
 // Core parallel-runtime tests: barrier semantics with real threads, the
 // shared-counter race demonstration, the bounded buffer under real
 // producer/consumer load, partitioning properties, speedup/Amdahl math,
-// the multicore cost model, and the deadlock detector.
+// and the multicore cost model.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "parallel/deadlock.hpp"
 #include "parallel/speedup.hpp"
 #include "parallel/sync.hpp"
 #include "parallel/threads.hpp"
@@ -325,59 +324,6 @@ TEST(MulticoreModel, Validation) {
   WorkloadModel ok;
   ok.total_work = 10;
   EXPECT_THROW((void)modeled_time(ok, 0), Error);
-}
-
-TEST(Deadlock, OrderInversionDetected) {
-  LockOrderRegistry registry;
-  TrackedMutex a("A", registry), b("B", registry);
-  {
-    // Thread-1 order: A then B.
-    a.lock(); b.lock(); b.unlock(); a.unlock();
-  }
-  EXPECT_FALSE(registry.deadlock_possible());
-  {
-    // Same thread, inverted order: B then A — cycle in the order graph.
-    b.lock(); a.lock(); a.unlock(); b.unlock();
-  }
-  EXPECT_TRUE(registry.deadlock_possible());
-  const std::vector<std::string> cycle = registry.find_cycle();
-  ASSERT_GE(cycle.size(), 2u);
-  EXPECT_EQ(cycle.front(), cycle.back());
-}
-
-TEST(Deadlock, ConsistentOrderAcrossThreadsIsClean) {
-  LockOrderRegistry registry;
-  TrackedMutex a("A", registry), b("B", registry), c("C", registry);
-  ThreadTeam team(4, [&](std::size_t) {
-    for (int i = 0; i < 50; ++i) {
-      std::scoped_lock all(a, b, c);  // scoped_lock itself avoids deadlock
-    }
-  });
-  team.join();
-  // scoped_lock may acquire in any internal order but consistently;
-  // verify at minimum that self-edges don't exist and the graph has
-  // recorded something.
-  EXPECT_FALSE(registry.graph().empty());
-}
-
-TEST(Deadlock, ThreeLockCycle) {
-  LockOrderRegistry registry;
-  registry.on_acquire("A");
-  registry.on_acquire("B");
-  registry.on_release("B");
-  registry.on_release("A");
-  registry.on_acquire("B");
-  registry.on_acquire("C");
-  registry.on_release("C");
-  registry.on_release("B");
-  EXPECT_FALSE(registry.deadlock_possible());
-  registry.on_acquire("C");
-  registry.on_acquire("A");
-  registry.on_release("A");
-  registry.on_release("C");
-  EXPECT_TRUE(registry.deadlock_possible());
-  registry.clear();
-  EXPECT_FALSE(registry.deadlock_possible());
 }
 
 }  // namespace

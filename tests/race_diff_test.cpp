@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "life/traced.hpp"
+#include "oracles/reference.hpp"
+#include "oracles/trace_gen.hpp"
 #include "os/interleave.hpp"
 #include "race/detector.hpp"
-#include "race/reference.hpp"
 #include "race/replay.hpp"
-#include "race/trace_gen.hpp"
 
 namespace cs31::race {
 namespace {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "oracles/script_gen.hpp"
 #include "race/explore.hpp"
 #include "race/replay.hpp"
 
@@ -260,17 +261,6 @@ TEST(Explore, HintSteersTheFirstScheduleOntoAKnownRace) {
   EXPECT_TRUE(full_blind.complete);
   EXPECT_TRUE(full_guided.complete);
   EXPECT_EQ(key_set(full_blind.races), key_set(full_guided.races));
-}
-
-TEST(Explore, ReprioritizationTogglePreservesTheCompleteVerdict) {
-  const auto scripts = generate_script(3, {.threads = 3, .ops_per_thread = 3});
-  ExploreOptions off;
-  off.reprioritize_on_discovery = false;
-  const ExploreResult with_feedback = explore_races(scripts);
-  const ExploreResult without_feedback = explore_races(scripts, off);
-  EXPECT_TRUE(with_feedback.complete);
-  EXPECT_TRUE(without_feedback.complete);
-  EXPECT_EQ(key_set(with_feedback.races), key_set(without_feedback.races));
 }
 
 // ---------------------------------------------------------------------

@@ -34,10 +34,10 @@
 
 #include "life/life.hpp"
 #include "life/traced.hpp"
+#include "oracles/trace_gen.hpp"
 #include "parallel/sync.hpp"
 #include "parallel/threads.hpp"
 #include "race/detector.hpp"
-#include "race/trace_gen.hpp"
 #include "trace/condvar.hpp"
 #include "trace/context.hpp"
 #include "trace/instrumented.hpp"

@@ -20,9 +20,9 @@
 #include "common/error.hpp"
 #include "life/life.hpp"
 #include "life/traced.hpp"
+#include "oracles/lockset.hpp"
 #include "parallel/sync.hpp"
 #include "parallel/threads.hpp"
-#include "race/lockset.hpp"
 #include "trace/context.hpp"
 #include "trace/instrumented.hpp"
 #include "trace/metrics.hpp"
