@@ -24,13 +24,22 @@
 // human-readable tables stay the primary interface and the JSON rides
 // along. Keys keep insertion order. Non-finite doubles serialize as
 // null (JSON has no NaN/inf).
+//
+// Below the report sits the one estimator every wall-clock perf gate
+// uses: run the sides being compared in interleaved rounds (the side
+// that goes first rotates), take per-round ratios, and judge the gate
+// on their median, printing and emitting the IQR and the round count
+// beside it.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -178,5 +187,60 @@ class JsonReport {
   bool enabled_ = false;
   bool written_ = false;
 };
+
+/// Median and interquartile range of a sample of per-pair ratios.
+struct Spread {
+  double median = 0, q1 = 0, q3 = 0;
+  std::size_t rounds = 0;
+  [[nodiscard]] double iqr() const { return q3 - q1; }
+};
+
+inline Spread spread_of(std::vector<double> sample) {
+  std::sort(sample.begin(), sample.end());
+  const auto at = [&](double p) {
+    return sample[static_cast<std::size_t>(p * static_cast<double>(sample.size() - 1) + 0.5)];
+  };
+  return Spread{at(0.5), at(0.25), at(0.75), sample.size()};
+}
+
+/// Wall seconds of every side in each of `rounds` interleaved rounds:
+/// times[side][round]. The side that runs first rotates each round, so
+/// no side always inherits the caches and scheduler state another left.
+inline std::vector<std::vector<double>> interleaved_seconds(
+    std::size_t rounds, const std::vector<std::function<void()>>& sides) {
+  std::vector<std::vector<double>> times(sides.size(), std::vector<double>(rounds));
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t k = 0; k < sides.size(); ++k) {
+      const std::size_t side = (round + k) % sides.size();
+      const auto start = std::chrono::steady_clock::now();
+      sides[side]();
+      times[side][round] =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    }
+  }
+  return times;
+}
+
+/// Per-round ratios num[i] / den[i], summarized.
+inline Spread ratio_spread(const std::vector<double>& num, const std::vector<double>& den) {
+  std::vector<double> ratios(num.size());
+  for (std::size_t i = 0; i < num.size(); ++i) ratios[i] = num[i] / den[i];
+  return spread_of(std::move(ratios));
+}
+
+inline double median_of(const std::vector<double>& sample) {
+  return spread_of(sample).median;
+}
+
+/// The gate's line of output and its JSON trio: `<key>` (the median
+/// ratio), `<key>_iqr` and `<key>_rounds`.
+inline void report_spread(JsonReport& json, const std::string& key, const char* label,
+                          const Spread& s) {
+  std::printf("%-34s %12.3f  (median of %zu pairs, IQR %.3f: %.3f..%.3f)\n", label, s.median,
+              s.rounds, s.iqr(), s.q1, s.q3);
+  json.metric(key, s.median);
+  json.metric(key + "_iqr", s.iqr());
+  json.metric(key + "_rounds", static_cast<std::uint64_t>(s.rounds));
+}
 
 }  // namespace cs31::bench

@@ -9,11 +9,15 @@
 // workloads (a tight hot loop, a seeded generated program, full maze
 // solves), reported as instructions/second per core. Single-threaded
 // wall-clock on whatever host runs the bench; the *ratio* between the
-// cores is the portable number, and `--perf-smoke` asserts its >= 5x
-// floor (exit 1 below it).
+// cores is the portable number. Each workload runs in interleaved
+// (switch, predecoded) pairs, and `--perf-smoke` asserts the >= 5x
+// floor on the median pair ratio (exit 1 below it), printing the IQR
+// and pair count beside it.
 //
 // Usage: bench_pipeline_ipc [--perf-smoke] [--json[=DIR]] [--timestamp=T]
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -64,21 +68,6 @@ namespace isa = cs31::isa;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-/// Instructions/second of `run_once` (which executes one workload pass
-/// and returns its instruction count), repeated until `min_seconds` of
-/// wall clock has been spent. One untimed warm-up pass first.
-double measure_ips(double min_seconds, const std::function<std::size_t()>& run_once) {
-  (void)run_once();  // warm: predecode caches, page in memory
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t instructions = 0;
-  double elapsed = 0.0;
-  do {
-    instructions += run_once();
-    elapsed = seconds_since(start);
-  } while (elapsed < min_seconds);
-  return static_cast<double>(instructions) / elapsed;
 }
 
 /// One long-lived machine per runner: each pass is `load` + `run`, the
@@ -150,6 +139,42 @@ struct IsaWorkload {
   std::function<std::size_t()> run_predecoded;
   bool in_floor;  // counted toward the >=5x assertion (emulation-bound rows)
 };
+
+struct CoreRounds {
+  cs31::bench::Spread speedup;  ///< per-pair predecoded/switch throughput ratio
+  double switch_ips = 0, predecoded_ips = 0;  ///< from each side's median time
+};
+
+/// `pairs` interleaved (switch, predecoded) rounds of one workload
+/// (cs31::bench::interleaved_seconds). Each side runs the same number
+/// of passes per round, enough for the slower switch side to take about
+/// `side_seconds` (at least one); a pass returns the instructions it
+/// executed.
+CoreRounds measure_cores(const IsaWorkload& w, std::size_t pairs, double side_seconds) {
+  const double predecoded_instr = static_cast<double>(w.run_predecoded());  // warm
+  const auto start = std::chrono::steady_clock::now();
+  const double switch_instr = static_cast<double>(w.run_switch());
+  const double pass_s = seconds_since(start);
+  const auto passes =
+      static_cast<std::size_t>(std::max(1.0, std::round(side_seconds / pass_s)));
+  const auto repeat = [passes](const std::function<std::size_t()>& run) {
+    return [&run, passes] {
+      for (std::size_t i = 0; i < passes; ++i) (void)run();
+    };
+  };
+  const auto times =
+      cs31::bench::interleaved_seconds(pairs, {repeat(w.run_switch), repeat(w.run_predecoded)});
+  // Same passes on both sides, so a pair's time ratio is its throughput
+  // ratio up to the (fixed) ratio of instructions per pass.
+  cs31::bench::Spread speedup = cs31::bench::ratio_spread(times[0], times[1]);
+  const double scale = predecoded_instr / switch_instr;
+  speedup.median *= scale;
+  speedup.q1 *= scale;
+  speedup.q3 *= scale;
+  const double n = static_cast<double>(passes);
+  return CoreRounds{speedup, switch_instr * n / cs31::bench::median_of(times[0]),
+                    predecoded_instr * n / cs31::bench::median_of(times[1])};
+}
 
 /// A hand-written hot loop: one million executed instructions of pure
 /// dispatch pressure, the fast core's best case.
@@ -235,36 +260,46 @@ int main(int argc, char** argv) {
        maze_runner(maze, isa::Machine::Core::Predecoded), false},
   };
 
-  const double min_seconds = perf_smoke ? 0.08 : 0.4;
-  double min_speedup = 1e300;
+  const std::size_t pairs = perf_smoke ? 7 : 15;
+  const double side_seconds = perf_smoke ? 0.02 : 0.1;
+  const IsaWorkload* floor_workload = nullptr;
+  cs31::bench::Spread floor_speedup;
   for (const IsaWorkload& w : workloads) {
-    const double switch_ips = measure_ips(min_seconds, w.run_switch);
-    const double predecoded_ips = measure_ips(min_seconds, w.run_predecoded);
-    const double speedup = predecoded_ips / switch_ips;
-    if (w.in_floor && speedup < min_speedup) min_speedup = speedup;
-    std::printf("%-26s %14.3e %14.3e %8.2fx%s\n", w.name, switch_ips, predecoded_ips, speedup,
+    const CoreRounds r = measure_cores(w, pairs, side_seconds);
+    if (w.in_floor && (floor_workload == nullptr || r.speedup.median < floor_speedup.median)) {
+      floor_workload = &w;
+      floor_speedup = r.speedup;
+    }
+    std::printf("%-26s %14.3e %14.3e %8.2fx  (IQR %.2f, %zu pairs)%s\n", w.name, r.switch_ips,
+                r.predecoded_ips, r.speedup.median, r.speedup.iqr(), r.speedup.rounds,
                 w.in_floor ? "" : "  (reload-bound; informational)");
     // The `core=` dimension, encoded in the metric key (flat schema).
     std::string key = w.name;
     for (char& c : key) {
       if (c == ' ' || c == ',' || c == '(' || c == ')') c = '_';
     }
-    json.metric(key + "[core=switch]_instr_per_s", switch_ips);
-    json.metric(key + "[core=predecoded]_instr_per_s", predecoded_ips);
-    json.metric(key + "_core_speedup", speedup);
+    json.metric(key + "[core=switch]_instr_per_s", r.switch_ips);
+    json.metric(key + "[core=predecoded]_instr_per_s", r.predecoded_ips);
+    json.metric(key + "_core_speedup", r.speedup.median);
+    json.metric(key + "_core_speedup_iqr", r.speedup.iqr());
+    json.metric(key + "_core_speedup_rounds", static_cast<std::uint64_t>(r.speedup.rounds));
   }
+  const double min_speedup = floor_speedup.median;
   json.metric("isa_core_min_speedup", min_speedup);
+  json.metric("isa_core_min_speedup_iqr", floor_speedup.iqr());
+  json.metric("isa_core_min_speedup_rounds", static_cast<std::uint64_t>(floor_speedup.rounds));
   json.config("isa_core_speedup_floor", 5);
 
   std::printf(
       "\nfloor check: predecoded core must be >= 5x the switch interpreter\n"
-      "on every emulation-bound workload (min observed: %.2fx). Wall-clock\n"
+      "on every emulation-bound workload, judged on the median of %zu\n"
+      "interleaved pairs (lowest: %.2fx on %s, IQR %.2f). Wall-clock\n"
       "on this host, single-threaded; the ratio, not the absolute i/s, is\n"
       "the contract. The 12-floor solve row is honest about its shape: a\n"
       "full solve executes only ~20 instructions per attempt, so it times\n"
       "the per-attempt reload, not the core — it reports, but is excluded\n"
       "from the floor.\n",
-      min_speedup);
+      floor_speedup.rounds, min_speedup, floor_workload->name, floor_speedup.iqr());
 
   const bool pipeline_ok = gain > 1.5;
   const bool isa_ok = min_speedup >= 5.0;

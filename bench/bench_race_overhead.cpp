@@ -81,6 +81,11 @@
 
 namespace {
 
+using cs31::bench::interleaved_seconds;
+using cs31::bench::median_of;
+using cs31::bench::ratio_spread;
+using cs31::bench::report_spread;
+using cs31::bench::Spread;
 using cs31::life::Grid;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -120,58 +125,6 @@ double min_seconds_of(int runs, Work&& work) {
 template <typename Work>
 double min_seconds_of_3(Work&& work) {
   return min_seconds_of(3, std::forward<Work>(work));
-}
-
-/// Median and interquartile range of a sample of per-pair ratios.
-struct Spread {
-  double median = 0, q1 = 0, q3 = 0;
-  std::size_t rounds = 0;
-  [[nodiscard]] double iqr() const { return q3 - q1; }
-};
-
-Spread spread_of(std::vector<double> sample) {
-  std::sort(sample.begin(), sample.end());
-  const auto at = [&](double p) {
-    return sample[static_cast<std::size_t>(p * static_cast<double>(sample.size() - 1) + 0.5)];
-  };
-  return Spread{at(0.5), at(0.25), at(0.75), sample.size()};
-}
-
-/// Wall seconds of every side in each of `rounds` interleaved rounds:
-/// times[side][round]. The side that runs first rotates each round, so
-/// no side always inherits the caches and scheduler state another left.
-std::vector<std::vector<double>> interleaved_seconds(
-    std::size_t rounds, const std::vector<std::function<void()>>& sides) {
-  std::vector<std::vector<double>> times(sides.size(), std::vector<double>(rounds));
-  for (std::size_t round = 0; round < rounds; ++round) {
-    for (std::size_t k = 0; k < sides.size(); ++k) {
-      const std::size_t side = (round + k) % sides.size();
-      const auto start = std::chrono::steady_clock::now();
-      sides[side]();
-      times[side][round] = seconds_since(start);
-    }
-  }
-  return times;
-}
-
-/// Per-round ratios num[i] / den[i], summarized.
-Spread ratio_spread(const std::vector<double>& num, const std::vector<double>& den) {
-  std::vector<double> ratios(num.size());
-  for (std::size_t i = 0; i < num.size(); ++i) ratios[i] = num[i] / den[i];
-  return spread_of(std::move(ratios));
-}
-
-double median_of(const std::vector<double>& sample) { return spread_of(sample).median; }
-
-/// The gate's line of output and its JSON trio: `<key>` (the median
-/// ratio), `<key>_iqr` and `<key>_rounds`.
-void report_spread(cs31::bench::JsonReport& json, const std::string& key, const char* label,
-                   const Spread& s) {
-  std::printf("%-34s %12.3f  (median of %zu pairs, IQR %.3f: %.3f..%.3f)\n", label, s.median,
-              s.rounds, s.iqr(), s.q1, s.q3);
-  json.metric(key, s.median);
-  json.metric(key + "_iqr", s.iqr());
-  json.metric(key + "_rounds", static_cast<std::uint64_t>(s.rounds));
 }
 
 /// The deterministic before/after run. Returns false when the >= 2x
@@ -313,7 +266,7 @@ bool report_realthread(cs31::bench::JsonReport& json) {
                  cs31::race::LocksetDetector lockset;
                  cs31::trace::MetricsSink metrics;
                  ctx.attach_sink(lockset);
-                 ctx.attach_sink(metrics);
+                 ctx.attach_metrics(metrics);
                  cs31::life::ParallelLife life(initial, kThreads);
                  life.run(kRounds, {.ctx = &ctx, .report_barrier = true,
                                     .granularity = cs31::life::TraceGranularity::Row});

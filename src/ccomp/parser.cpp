@@ -1,5 +1,6 @@
 #include "ccomp/parser.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "common/error.hpp"
@@ -51,6 +52,33 @@ class Parser {
     throw Error("line " + std::to_string(peek().line) + ": " + what);
   }
 
+  // --- the depth budget (kMaxNestingDepth) -------------------------------
+  // depth_ is what the node being parsed is charged; peak_ the most any
+  // node parsed so far was charged.
+
+  void descend(int levels) {
+    depth_ += levels;
+    peak_ = std::max(peak_, depth_);
+    if (depth_ > kMaxNestingDepth) {
+      fail("nesting too deep (more than " + std::to_string(kMaxNestingDepth) + " levels)");
+    }
+  }
+
+  /// Charges its levels for as long as it lives.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser, int levels = 1) : parser_(parser), depth_(parser.depth_) {
+      parser.descend(levels);
+    }
+    ~Nest() { parser_.depth_ = depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+    int depth_;
+  };
+
   Function parse_function() {
     Function fn;
     fn.line = peek().line;
@@ -79,6 +107,7 @@ class Parser {
   }
 
   StmtPtr parse_statement() {
+    const Nest nest(*this, peek().kind == TokKind::KwFor ? 3 : 1);
     auto stmt = std::make_unique<Stmt>();
     stmt->line = peek().line;
     switch (peek().kind) {
@@ -200,6 +229,7 @@ class Parser {
       e->line = peek().line;
       e->name = eat(TokKind::Ident).text;
       eat(TokKind::Assign);
+      const Nest nest(*this);
       e->rhs = parse_assignment();
       return e;
     }
@@ -238,6 +268,21 @@ class Parser {
   }
 
   ExprPtr parse_binary(int min_prec) {
+    // A chain nests to the left: each operator makes the chain so far
+    // the left child of a new node. So the chain is charged as deep as
+    // its deepest node, plus one per operator, before each right
+    // operand is parsed; the right operand's own depth adds on top.
+    const int depth = depth_;
+    const int outer_peak = peak_;
+    peak_ = depth_;
+    struct Restore {
+      Parser& parser;
+      int depth, outer_peak;
+      ~Restore() {
+        parser.depth_ = depth;
+        parser.peak_ = std::max(parser.peak_, outer_peak);
+      }
+    } restore{*this, depth, outer_peak};
     ExprPtr lhs = parse_unary();
     for (;;) {
       if (peek().kind == TokKind::Slash || peek().kind == TokKind::Percent) {
@@ -248,6 +293,8 @@ class Parser {
       if (level == nullptr || level->prec < min_prec) return lhs;
       const int line = peek().line;
       ++pos_;
+      depth_ = peak_;
+      descend(1);
       ExprPtr rhs = parse_binary(level->prec + 1);
       auto e = std::make_unique<Expr>();
       e->kind = Expr::Kind::Binary;
@@ -264,6 +311,7 @@ class Parser {
     if (t.kind == TokKind::Minus || t.kind == TokKind::Tilde ||
         t.kind == TokKind::Bang) {
       ++pos_;
+      const Nest nest(*this);
       auto e = std::make_unique<Expr>();
       e->kind = Expr::Kind::Unary;
       e->line = t.line;
@@ -289,6 +337,7 @@ class Parser {
       case TokKind::Ident: {
         ++pos_;
         if (eat_if(TokKind::LParen)) {
+          const Nest nest(*this);
           e->kind = Expr::Kind::Call;
           e->name = t.text;
           if (!eat_if(TokKind::RParen)) {
@@ -305,6 +354,7 @@ class Parser {
       }
       case TokKind::LParen: {
         ++pos_;
+        const Nest nest(*this);
         ExprPtr inner = parse_expression();
         eat(TokKind::RParen);
         return inner;
@@ -316,6 +366,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  int peak_ = 0;
 };
 
 }  // namespace

@@ -311,6 +311,16 @@ Verdict grade_script(const std::string& body, const ToolchainLimits& limits) {
 }  // namespace
 
 Verdict run_toolchain(const Submission& submission, const ToolchainLimits& limits) {
+  if (submission.body.size() > kMaxBodyBytes) {
+    Verdict verdict;
+    const bool compiled = submission.kind == SubmissionKind::MiniC ||
+                          submission.kind == SubmissionKind::Assembly;
+    verdict.status = compiled ? "compile_error" : "invalid";
+    verdict.notes.push_back("body is " + std::to_string(submission.body.size()) +
+                            " bytes, over the " + std::to_string(kMaxBodyBytes) +
+                            "-byte limit");
+    return verdict;
+  }
   switch (submission.kind) {
     case SubmissionKind::MiniC: return grade_mini_c(submission.body, limits);
     case SubmissionKind::Assembly: return grade_assembly(submission.body, limits);

@@ -28,6 +28,7 @@
 // those, reporting status "grader_error" rather than dying).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,12 +45,20 @@ struct ToolchainLimits {
   double max_seconds = 5.0;
 };
 
+/// The largest body run_toolchain reads. A longer one is refused before
+/// any front-end sees it — `compile_error` for mini_c/assembly,
+/// `invalid` for life_trace/script, score 0, one note — so no parser,
+/// lexer or scenario reader ever holds more than this much input.
+inline constexpr std::size_t kMaxBodyBytes = std::size_t{1} << 20;  // 1 MiB
+
 /// What grading one submission produced. `status` is one of:
 ///   ok               compiled/assembled clean and ran to completion
 ///   ok_with_findings ran to completion, but lint found something
-///   compile_error    the toolchain rejected the body, or its image does
-///                    not fit in the machine's memory (nothing ran; the
-///                    load error is the only note)
+///   compile_error    the toolchain rejected the body (a syntax error,
+///                    nesting past cc::kMaxNestingDepth, a body over
+///                    kMaxBodyBytes), or its image does not fit in the
+///                    machine's memory (nothing ran; the load error is
+///                    the only note)
 ///   runtime_error    the program faulted (segmentation violation, ...)
 ///   timeout          a resource limit stopped it (poison submission; for
 ///                    life_trace, max(rounds, 1) x rows x cols >
@@ -59,7 +68,8 @@ struct ToolchainLimits {
 ///                    (script: every feasible schedule explored)
 ///   race_found       life_trace/script: the detector reported races
 ///   deadlock_found   script: exploration reached a real stuck state
-///   invalid          life_trace/script: malformed config or op
+///   invalid          life_trace/script: malformed config or op, or a
+///                    body over kMaxBodyBytes
 struct Verdict {
   std::string status = "invalid";
   int score = 0;                  ///< 0..100, deterministic rubric

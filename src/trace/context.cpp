@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "trace/metrics.hpp"
 #include "trace/pipeline.hpp"
 
 namespace cs31::trace {
@@ -112,17 +113,29 @@ void TraceContext::attach_sink(race::EventSink& sink) {
   require(pipeline_ == nullptr,
           "a pipelined trace context runs no inline sinks — attach them to the "
           "pipeline side instead");
-  SinkBinding binding;
-  binding.sink = &sink;
-  binding.fast = dynamic_cast<race::Detector*>(&sink);
-  binding.tid_map.push_back(0);  // context thread 0 is sink thread 0
-  sinks_.push_back(std::move(binding));
+  // A Feed learns names and waiter sets only from drain batches, so a
+  // sink attached later would miss what earlier drains shipped.
+  require(drains_ == 0, "attach sinks before the context's first drain");
+  feeds_.emplace_back(&sink);
+}
+
+void TraceContext::attach_metrics(MetricsSink& sink) {
+  std::scoped_lock lock(stream_mutex_);
+  require(pipeline_ == nullptr,
+          "a pipelined trace context counts on the pipeline side — use "
+          "AnalysisPipeline::attach_metrics");
+  require(metrics_ == nullptr, "trace context already has a metrics sink");
+  require(drains_ == 0, "attach the metrics sink before the context's first drain");
+  metrics_ = &sink;
+  // The counting Feed is the first one; with no sink attached yet it
+  // is a Feed of its own, which only keeps tables and counts.
+  if (feeds_.empty()) feeds_.emplace_back(nullptr);
 }
 
 void TraceContext::attach_pipeline(AnalysisPipeline& pipeline) {
   std::scoped_lock lock(stream_mutex_);
   require(pipeline_ == nullptr, "trace context already has an analysis pipeline");
-  require(detector_ == nullptr && sinks_.empty(),
+  require(feeds_.empty(),
           "attach_pipeline needs a context without inline sinks (own_detector = false, "
           "nothing attached)");
   require(sync_clock_.load(std::memory_order_relaxed) == 0 && drains_ == 0,
@@ -688,16 +701,11 @@ void TraceContext::dispatch_prefix_locked(std::vector<Event>&& merged, std::uint
   }
   ++drains_;
   check_object_seqs(merged, safe);
-  if (pipeline_ != nullptr) {
-    if (safe < merged.size()) {
-      pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
-      merged.resize(safe);
-    }
-    publish_locked(std::move(merged));
-    return;
+  if (safe < merged.size()) {
+    pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
+    merged.resize(safe);
   }
-  for (std::size_t i = 0; i < safe; ++i) dispatch(merged[i]);
-  pending_.assign(merged.begin() + static_cast<std::ptrdiff_t>(safe), merged.end());
+  deliver_locked(std::move(merged));
 }
 
 void TraceContext::advance_and_reclaim_locked(const std::vector<char>& covered) {
@@ -752,14 +760,17 @@ void TraceContext::check_object_seqs(const std::vector<Event>& events, std::size
   }
 }
 
-void TraceContext::publish_locked(std::vector<Event>&& events) {
+void TraceContext::deliver_locked(std::vector<Event>&& events) {
+  // A capture-only context has no reader, and none can attach after
+  // this drain: pack nothing.
+  if (pipeline_ == nullptr && feeds_.empty()) return;
   EventBatch batch;
   batch.events = std::move(events);
   {
-    // Snapshot the name tails interned since the last publish: every id
+    // Snapshot the name tails interned since the last drain: every id
     // an event carries was interned before the event was captured, so
-    // the batch is self-contained — pipeline threads never call back
-    // into the context.
+    // the batch is self-contained — its readers never call back into
+    // the context.
     std::scoped_lock lock(intern_mutex_);
     for (; published_vars_ < var_names_.size(); ++published_vars_) {
       batch.new_vars.push_back(var_names_.name(static_cast<NameId>(published_vars_)));
@@ -778,141 +789,26 @@ void TraceContext::publish_locked(std::vector<Event>&& events) {
   for (; published_waiters_ < waiter_sets_.size(); ++published_waiters_) {
     batch.new_waiter_sets.push_back(waiter_sets_[published_waiters_]);
   }
-  // May block on backpressure (holding stream_mutex_): capture threads
-  // trying to record sync events then wait too, which is exactly the
-  // memory cap the bounded queue promises. The pipeline's consumers
-  // never take stream_mutex_, so this cannot deadlock.
-  pipeline_->publish(std::move(batch));
-}
-
-void TraceContext::dispatch(const Event& event) {
-  for (SinkBinding& binding : sinks_) dispatch_to(binding, event);
-}
-
-namespace {
-
-/// Sink-side id for a context id, translating through `map` and
-/// interning into the sink on first sight.
-template <typename Intern>
-NameId translate(std::vector<NameId>& map, NameId id, Intern&& intern) {
-  constexpr NameId kUnset = static_cast<NameId>(-1);
-  if (id >= map.size()) map.resize(id + 1, kUnset);
-  if (map[id] == kUnset) map[id] = intern();
-  return map[id];
-}
-
-}  // namespace
-
-const std::string& TraceContext::cached_name(std::vector<std::string>& cache,
-                                             const race::Interner& names, NameId id) {
-  if (id >= cache.size()) {
-    // Interners are append-only and dense, so the cache is a prefix.
-    std::scoped_lock lock(intern_mutex_);
-    for (auto i = static_cast<NameId>(cache.size()); i <= id; ++i) {
-      cache.push_back(names.name(i));
-    }
+  if (pipeline_ != nullptr) {
+    // May block on backpressure (holding stream_mutex_): capture threads
+    // trying to record sync events then wait too, which is exactly the
+    // memory cap the bounded queue promises. The pipeline's consumers
+    // never take stream_mutex_, so this cannot deadlock.
+    pipeline_->publish(std::move(batch));
+    return;
   }
-  return cache[id];
-}
-
-void TraceContext::dispatch_to(SinkBinding& binding, const Event& event) {
-  race::EventSink& sink = *binding.sink;
-  race::Detector* fast = binding.fast;
-  const ThreadId t = binding.tid_map[event.thread];
-
-  // The detector fast path interns each name once, so it copies the
-  // name out per first sight instead of caching it.
-  const auto name_of = [this](const race::Interner& names, NameId id) {
-    std::scoped_lock lock(intern_mutex_);
-    return names.name(id);  // returns a reference; copy before unlock
-  };
-
-  switch (event.kind) {
-    case EventKind::Read:
-    case EventKind::Write: {
-      if (fast != nullptr) {
-        const NameId var = translate(binding.var_map, event.id, [&] {
-          return fast->intern_var(name_of(var_names_, event.id));
-        });
-        const NameId site = translate(binding.site_map, event.site, [&] {
-          return fast->intern_site(name_of(site_names_, event.site));
-        });
-        if (event.kind == EventKind::Read) {
-          fast->read(t, var, site);
-        } else {
-          fast->write(t, var, site);
-        }
-      } else {
-        const std::string& var = cached_name(binding.var_names, var_names_, event.id);
-        const std::string& site = cached_name(binding.site_names, site_names_, event.site);
-        if (event.kind == EventKind::Read) {
-          sink.read(t, var, site);
-        } else {
-          sink.write(t, var, site);
-        }
-      }
-      return;
-    }
-    case EventKind::Acquire:
-    case EventKind::Release: {
-      if (fast != nullptr) {
-        const NameId lock = translate(binding.lock_map, event.id, [&] {
-          return fast->intern_lock(name_of(lock_names_, event.id));
-        });
-        if (event.kind == EventKind::Acquire) {
-          fast->acquire(t, lock);
-        } else {
-          fast->release(t, lock);
-        }
-      } else {
-        const std::string& lock = cached_name(binding.lock_names, lock_names_, event.id);
-        if (event.kind == EventKind::Acquire) {
-          sink.acquire(t, lock);
-        } else {
-          sink.release(t, lock);
-        }
-      }
-      return;
-    }
-    case EventKind::ChannelSend:
-    case EventKind::ChannelRecv: {
-      if (fast != nullptr) {
-        const NameId channel = translate(binding.channel_map, event.id, [&] {
-          return fast->intern_channel(name_of(channel_names_, event.id));
-        });
-        if (event.kind == EventKind::ChannelSend) {
-          fast->channel_send(t, channel);
-        } else {
-          fast->channel_recv(t, channel);
-        }
-      } else {
-        const std::string& channel =
-            cached_name(binding.channel_names, channel_names_, event.id);
-        if (event.kind == EventKind::ChannelSend) {
-          sink.channel_send(t, channel);
-        } else {
-          sink.channel_recv(t, channel);
-        }
-      }
-      return;
-    }
-    case EventKind::Fork: {
-      const ThreadId child = sink.fork(t);
-      if (event.id >= binding.tid_map.size()) binding.tid_map.resize(event.id + 1, 0);
-      binding.tid_map[event.id] = child;
-      return;
-    }
-    case EventKind::Join:
-      sink.join(t, binding.tid_map[event.id]);
-      return;
-    case EventKind::BarrierCycle: {
-      const std::vector<ThreadId>& waiters = waiter_sets_[event.id];
-      std::vector<ThreadId> mapped;
-      mapped.reserve(waiters.size());
-      for (const ThreadId w : waiters) mapped.push_back(binding.tid_map[w]);
-      sink.barrier(mapped);
-      return;
-    }
+  // Inline: every attached sink reads the batch through its own Feed,
+  // as the one reader of the stream (shard 0 of 1). The first Feed
+  // counts the event mix when a metrics sink is attached, and the delta
+  // is merged at once — a drain is a quiescent point.
+  MetricsDelta* counting = metrics_ != nullptr ? &metrics_delta_ : nullptr;
+  for (Feed& feed : feeds_) {
+    feed.apply(batch, 1, 0, 1, counting);
+    counting = nullptr;
+  }
+  if (metrics_ != nullptr) {
+    metrics_->merge(metrics_delta_, feeds_.front().lock_names());
+    metrics_delta_ = MetricsDelta{};
   }
 }
 

@@ -30,12 +30,18 @@
 //               certificates — in either capture mode: see "Ordering"
 //               below for why the lock-free merge reproduces the
 //               mutex-ordered stream exactly.
-//   sinks     — every attached race::EventSink consumes the identical
-//               drained stream: the built-in FastTrack race::Detector
-//               (fed through its interned-id fast path), the test
-//               oracles' ReferenceDetector and Eraser-style
-//               LocksetDetector (tests/oracles/), a MetricsSink,
-//               anything else honouring the interface.
+//   feed      — each drain packs its dispatched prefix, plus the name
+//               and waiter-set tails interned since the last drain,
+//               into one self-contained EventBatch (feed.hpp). The
+//               batch goes either to an AnalysisPipeline (pipeline.hpp)
+//               or, on the draining thread, to one trace::Feed per
+//               attached race::EventSink: the built-in FastTrack
+//               race::Detector (fed through its interned-id fast path),
+//               the test oracles' ReferenceDetector and Eraser-style
+//               LocksetDetector (tests/oracles/), anything else
+//               honouring the interface. Every sink reads the identical
+//               stream. A MetricsSink (attach_metrics) gets the event
+//               mix, counted in the same pass and merged per drain.
 //
 // Ordering (why lock-free capture drains byte-identically):
 //   1. Stamps are fetch_adds on one atomic, so they are unique and
@@ -133,6 +139,8 @@
 
 #include "race/detector.hpp"
 #include "trace/event.hpp"
+#include "trace/feed.hpp"
+#include "trace/metrics.hpp"
 
 namespace cs31::trace {
 
@@ -204,9 +212,16 @@ class TraceContext {
   // --- sinks -----------------------------------------------------------
 
   /// Attach an additional sink. Every sink sees the identical drained
-  /// stream. Attach before the first event; the sink must outlive the
-  /// context's last drain.
+  /// stream through its own Feed. Throws cs31::Error once the context
+  /// has drained (a Feed learns names only from drain batches) or when
+  /// a pipeline is attached. The sink must outlive the context's last
+  /// drain.
   void attach_sink(race::EventSink& sink);
+
+  /// Count the event mix of every drain into `sink`, merged at the end
+  /// of each drain — the inline mirror of AnalysisPipeline::
+  /// attach_metrics. Same attach rules as attach_sink.
+  void attach_metrics(MetricsSink& sink);
 
   /// The built-in detector. Throws cs31::Error when constructed with
   /// own_detector = false. Read verdicts only after flush().
@@ -215,10 +230,10 @@ class TraceContext {
   [[nodiscard]] bool has_detector() const { return detector_ != nullptr; }
 
   /// Route drains through `pipeline` instead of inline sinks: a drain
-  /// publishes its dispatched prefix as one self-contained batch and
+  /// publishes its batch (the one an inline drain feeds its sinks) and
   /// returns — analysis happens on the pipeline's threads, off the
   /// parallel hot path (see pipeline.hpp). Requires a context with no
-  /// inline sinks (own_detector = false, nothing attached) and no
+  /// inline sinks or metrics (own_detector = false, nothing attached) and no
   /// events yet; flush() then additionally waits for the pipeline to go
   /// idle, so "flush, then read the verdict" keeps working. The
   /// pipeline must outlive the context.
@@ -232,7 +247,7 @@ class TraceContext {
   bool help_analysis();
 
   // --- interning -------------------------------------------------------
-  // Ids are context-owned; the drain translates them per sink. Safe
+  // Ids are context-owned; each sink's Feed translates them. Safe
   // from any thread, any time. Interning a lock or channel also grows
   // its per-object sequence counter (the lock-free capture path reads
   // the counter table without locks; growth happens only here).
@@ -408,19 +423,6 @@ class TraceContext {
     std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
   };
 
-  /// Per-sink dispatch state: id translations are built lazily from the
-  /// context's interners, `fast` short-circuits to the detector's
-  /// interned-id path when the sink is a race::Detector. Other sinks
-  /// take names: their bindings keep a copy of every name prefix they
-  /// have needed, so an event costs no lock and no string copy.
-  struct SinkBinding {
-    race::EventSink* sink = nullptr;
-    race::Detector* fast = nullptr;
-    std::vector<ThreadId> tid_map;  ///< context tid -> sink tid
-    std::vector<NameId> var_map, lock_map, channel_map, site_map;
-    std::vector<std::string> var_names, lock_names, channel_names, site_names;
-  };
-
   /// A joined thread's buffer awaiting its grace period.
   struct RetiredBuffer {
     std::unique_ptr<ThreadBuffer> buffer;
@@ -467,7 +469,7 @@ class TraceContext {
   /// (the staged runs go back to the spare pool). Clears the staged
   /// state. Caller holds stream_mutex_.
   [[nodiscard]] std::vector<Event> take_staged_locked();
-  /// Dispatch (or publish) the prefix of `merged` below `horizon` —
+  /// Deliver the prefix of `merged` below `horizon` —
   /// plus the horizon stamp's own sync event — and hold the rest back
   /// in pending_. Caller holds stream_mutex_.
   void dispatch_prefix_locked(std::vector<Event>&& merged, std::uint64_t horizon);
@@ -486,16 +488,12 @@ class TraceContext {
   /// order — the witness that the merge reproduced the real per-object
   /// sync order. Caller holds stream_mutex_.
   void check_object_seqs(const std::vector<Event>& events, std::size_t count);
-  void dispatch(const Event& event);
-  void dispatch_to(SinkBinding& binding, const Event& event);
-  /// `names`' entry for `id` through a binding's name cache, which is
-  /// filled up to `id` (under intern_mutex_) on first sight.
-  const std::string& cached_name(std::vector<std::string>& cache,
-                                 const race::Interner& names, NameId id);
-  /// Publish `events` (consumed) plus the name/waiter-set deltas
-  /// interned since the last publish to the attached pipeline (may
-  /// block on backpressure). Caller holds stream_mutex_.
-  void publish_locked(std::vector<Event>&& events);
+  /// Pack `events` (consumed) plus the name/waiter-set tails interned
+  /// since the last drain into one EventBatch, and hand it to the
+  /// pipeline (may block on backpressure) or to every attached sink's
+  /// Feed; a context with neither packs nothing. Caller holds
+  /// stream_mutex_.
+  void deliver_locked(std::vector<Event>&& events);
 
   const std::uint64_t generation_;  ///< thread-local cache validation
   /// Sampling threshold on the xorshift output: keep while below. ~0
@@ -535,13 +533,15 @@ class TraceContext {
   std::vector<std::vector<Event>> spare_runs_;  ///< emptied runs, capacity kept
   std::uint64_t structural_syncs_ = 0;  ///< fork/join/barrier edges recorded
   std::vector<std::vector<ThreadId>> waiter_sets_;  ///< BarrierCycle payloads
-  std::vector<SinkBinding> sinks_;
+  std::vector<Feed> feeds_;  ///< one per inline sink; the first counts metrics
+  MetricsSink* metrics_ = nullptr;  ///< set before the first drain
+  MetricsDelta metrics_delta_;      ///< this drain's counts, merged at its end
   std::uint64_t drains_ = 0;
   /// Dispatch-side per-object continuity state (next expected seq per
   /// lock/channel id), and the scratch covered[] map drains reuse.
   std::vector<std::uint64_t> next_lock_seq_, next_channel_seq_;
   std::vector<char> covered_scratch_;
-  /// Table prefixes already shipped to the pipeline (guarded by
+  /// Table prefixes already shipped in a batch (guarded by
   /// stream_mutex_; the interners themselves by intern_mutex_).
   std::size_t published_vars_ = 0, published_locks_ = 0, published_channels_ = 0,
               published_sites_ = 0, published_waiters_ = 0;

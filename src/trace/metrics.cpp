@@ -1,180 +1,74 @@
 #include "trace/metrics.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace cs31::trace {
 
-using race::ThreadId;
-
-MetricsSink::MetricsSink() {
-  std::scoped_lock lock(mutex_);
-  grow_locked(1);  // the constructing context's thread 0
-}
-
-MetricsSink::~MetricsSink() {
-  for (auto& slot : chunks_) delete slot.load(std::memory_order_relaxed);
-}
-
-void MetricsSink::grow_locked(std::size_t count) {
-  const std::size_t chunks = (count + kRowsPerChunk - 1) / kRowsPerChunk;
-  require(chunks <= kMaxChunks, "metrics: too many threads");
-  for (std::size_t i = 0; i < chunks; ++i) {
-    if (chunks_[i].load(std::memory_order_relaxed) == nullptr) {
-      chunks_[i].store(new Chunk{}, std::memory_order_release);
-    }
+void MetricsDelta::count(const Event& event,
+                         const std::vector<std::vector<ThreadId>>& waiter_sets) {
+  ThreadMetrics& row = of(event.thread);
+  switch (event.kind) {
+    case EventKind::Read:
+      ++row.reads;
+      break;
+    case EventKind::Write:
+      ++row.writes;
+      break;
+    case EventKind::Acquire:
+      ++row.acquires;
+      if (event.id >= lock_acquires.size()) lock_acquires.resize(event.id + 1, 0);
+      if (lock_acquires[event.id]++ == 0) locks_in_first_acquire_order.push_back(event.id);
+      break;
+    case EventKind::Release:
+      ++row.releases;
+      break;
+    case EventKind::ChannelSend:
+      ++row.sends;
+      break;
+    case EventKind::ChannelRecv:
+      ++row.recvs;
+      break;
+    case EventKind::Fork:
+      (void)of(event.id);  // the child gets a row
+      break;
+    case EventKind::Join:
+      break;
+    case EventKind::BarrierCycle:
+      for (const ThreadId w : waiter_sets[event.id]) ++of(w).barriers;
+      ++barrier_cycles;
+      break;
   }
-  // Publish the count last: any thread that can name id t < count can
-  // also see t's (release-published) chunk.
-  thread_count_.store(count, std::memory_order_release);
+  ++events;
 }
 
-MetricsSink::AtomicThreadMetrics& MetricsSink::row(ThreadId t) const {
-  require(t < thread_count_.load(std::memory_order_acquire),
-          "metrics: unknown thread id");
-  Chunk* chunk = chunks_[t / kRowsPerChunk].load(std::memory_order_acquire);
-  return chunk->rows[t % kRowsPerChunk];
-}
-
-ThreadMetrics MetricsSink::snapshot_row(ThreadId t) const {
-  const AtomicThreadMetrics& r = row(t);
-  ThreadMetrics m;
-  m.reads = r.reads.load(std::memory_order_relaxed);
-  m.writes = r.writes.load(std::memory_order_relaxed);
-  m.acquires = r.acquires.load(std::memory_order_relaxed);
-  m.releases = r.releases.load(std::memory_order_relaxed);
-  m.sends = r.sends.load(std::memory_order_relaxed);
-  m.recvs = r.recvs.load(std::memory_order_relaxed);
-  m.barriers = r.barriers.load(std::memory_order_relaxed);
-  return m;
-}
-
-ThreadId MetricsSink::register_thread() {
+void MetricsSink::merge(const MetricsDelta& delta,
+                        const std::vector<std::string>& lock_names) {
   std::scoped_lock lock(mutex_);
-  const std::size_t count = thread_count_.load(std::memory_order_relaxed);
-  grow_locked(count + 1);
-  return static_cast<ThreadId>(count);
-}
-
-ThreadId MetricsSink::fork(ThreadId parent) {
-  std::scoped_lock lock(mutex_);
-  (void)row(parent);  // validate
-  events_.add();
-  const std::size_t count = thread_count_.load(std::memory_order_relaxed);
-  grow_locked(count + 1);
-  return static_cast<ThreadId>(count);
-}
-
-void MetricsSink::join(ThreadId parent, ThreadId child) {
-  (void)row(parent);  // validate
-  (void)row(child);
-  events_.add();
-}
-
-void MetricsSink::acquire(ThreadId t, const std::string& lock) {
-  row(t).acquires.fetch_add(1, std::memory_order_relaxed);
-  events_.add();
-  // Only the name->count map needs the mutex (the interner is not
-  // concurrent); acquires are rare next to accesses, so this is off the
-  // contended path by construction.
-  std::scoped_lock guard(mutex_);
-  const auto id = lock_names_.id(lock);
-  if (id >= lock_acquires_.size()) lock_acquires_.resize(id + 1, 0);
-  ++lock_acquires_[id];
-}
-
-void MetricsSink::release(ThreadId t, const std::string& lock) {
-  (void)lock;
-  row(t).releases.fetch_add(1, std::memory_order_relaxed);
-  events_.add();
-}
-
-void MetricsSink::barrier(const std::vector<ThreadId>& waiters) {
-  require(!waiters.empty(), "metrics: barrier needs at least one waiter");
-  for (const ThreadId w : waiters) {
-    row(w).barriers.fetch_add(1, std::memory_order_relaxed);
+  if (delta.threads.size() > threads_.size()) threads_.resize(delta.threads.size());
+  for (std::size_t t = 0; t < delta.threads.size(); ++t) {
+    const ThreadMetrics& d = delta.threads[t];
+    ThreadMetrics& m = threads_[t];
+    m.reads += d.reads;
+    m.writes += d.writes;
+    m.acquires += d.acquires;
+    m.releases += d.releases;
+    m.sends += d.sends;
+    m.recvs += d.recvs;
+    m.barriers += d.barriers;
   }
-  events_.add();
-  std::scoped_lock guard(mutex_);
-  ++barrier_cycles_;
-}
-
-void MetricsSink::channel_send(ThreadId t, const std::string& channel) {
-  (void)channel;
-  row(t).sends.fetch_add(1, std::memory_order_relaxed);
-  events_.add();
-}
-
-void MetricsSink::channel_recv(ThreadId t, const std::string& channel) {
-  (void)channel;
-  row(t).recvs.fetch_add(1, std::memory_order_relaxed);
-  events_.add();
-}
-
-void MetricsSink::read(ThreadId t, const std::string& var, const std::string& where) {
-  (void)var;
-  (void)where;
-  row(t).reads.fetch_add(1, std::memory_order_relaxed);
-  events_.add();
-}
-
-void MetricsSink::write(ThreadId t, const std::string& var, const std::string& where) {
-  (void)var;
-  (void)where;
-  row(t).writes.fetch_add(1, std::memory_order_relaxed);
-  events_.add();
-}
-
-const std::vector<race::RaceReport>& MetricsSink::races() const {
-  static const std::vector<race::RaceReport> kNone;
-  return kNone;
-}
-
-std::uint64_t MetricsSink::events() const { return events_.value(); }
-
-std::size_t MetricsSink::threads() const {
-  return thread_count_.load(std::memory_order_acquire);
-}
-
-std::size_t MetricsSink::shadow_bytes() const {
-  std::scoped_lock lock(mutex_);
-  return thread_count_.load(std::memory_order_relaxed) * sizeof(AtomicThreadMetrics) +
-         lock_acquires_.size() * sizeof(std::uint64_t);
-}
-
-std::string MetricsSink::summary() const {
-  std::scoped_lock lock(mutex_);
-  const std::size_t count = thread_count_.load(std::memory_order_relaxed);
-  std::ostringstream out;
-  out << "per-thread event mix (" << count << " threads, " << events_.value()
-      << " events, " << barrier_cycles_ << " barrier cycles):\n";
-  for (std::size_t t = 0; t < count; ++t) {
-    const ThreadMetrics m = snapshot_row(static_cast<ThreadId>(t));
-    out << "  T" << t << ": " << m.reads << " reads, " << m.writes << " writes, "
-        << m.acquires << " acquires, " << m.sends << " sends, " << m.recvs
-        << " recvs, " << m.barriers << " barrier waits\n";
+  for (const NameId id : delta.locks_in_first_acquire_order) {
+    require(id < lock_names.size(), "metrics merge: delta lock id has no name");
+    const NameId own = lock_names_.id(lock_names[id]);
+    if (own >= lock_acquires_.size()) lock_acquires_.resize(own + 1, 0);
+    lock_acquires_[own] += delta.lock_acquires[id];
   }
-  if (lock_acquires_.empty()) {
-    out << "  no locks acquired\n";
-  } else {
-    out << "lock acquire counts (contention proxy):\n";
-    for (std::size_t id = 0; id < lock_acquires_.size(); ++id) {
-      out << "  " << lock_names_.name(static_cast<race::NameId>(id)) << ": "
-          << lock_acquires_[id] << "\n";
-    }
-  }
-  return out.str();
+  barrier_cycles_ += delta.barrier_cycles;
+  events_ += delta.events;
 }
 
 std::vector<ThreadMetrics> MetricsSink::per_thread() const {
-  const std::size_t count = thread_count_.load(std::memory_order_acquire);
-  std::vector<ThreadMetrics> out;
-  out.reserve(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    out.push_back(snapshot_row(static_cast<ThreadId>(t)));
-  }
-  return out;
+  std::scoped_lock lock(mutex_);
+  return threads_;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> MetricsSink::lock_acquires() const {
@@ -182,8 +76,7 @@ std::vector<std::pair<std::string, std::uint64_t>> MetricsSink::lock_acquires() 
   std::vector<std::pair<std::string, std::uint64_t>> out;
   out.reserve(lock_acquires_.size());
   for (std::size_t id = 0; id < lock_acquires_.size(); ++id) {
-    out.emplace_back(std::string(lock_names_.name(static_cast<race::NameId>(id))),
-                     lock_acquires_[id]);
+    out.emplace_back(lock_names_.name(static_cast<NameId>(id)), lock_acquires_[id]);
   }
   return out;
 }
@@ -193,32 +86,9 @@ std::uint64_t MetricsSink::barrier_cycles() const {
   return barrier_cycles_;
 }
 
-void MetricsSink::merge(const MetricsDelta& delta,
-                        const std::vector<std::string>& lock_names) {
+std::uint64_t MetricsSink::events() const {
   std::scoped_lock lock(mutex_);
-  if (delta.threads.size() > thread_count_.load(std::memory_order_relaxed)) {
-    grow_locked(delta.threads.size());
-  }
-  for (std::size_t t = 0; t < delta.threads.size(); ++t) {
-    const ThreadMetrics& d = delta.threads[t];
-    AtomicThreadMetrics& m = row(static_cast<ThreadId>(t));
-    m.reads.fetch_add(d.reads, std::memory_order_relaxed);
-    m.writes.fetch_add(d.writes, std::memory_order_relaxed);
-    m.acquires.fetch_add(d.acquires, std::memory_order_relaxed);
-    m.releases.fetch_add(d.releases, std::memory_order_relaxed);
-    m.sends.fetch_add(d.sends, std::memory_order_relaxed);
-    m.recvs.fetch_add(d.recvs, std::memory_order_relaxed);
-    m.barriers.fetch_add(d.barriers, std::memory_order_relaxed);
-  }
-  for (std::size_t id = 0; id < delta.lock_acquires.size(); ++id) {
-    if (delta.lock_acquires[id] == 0) continue;
-    require(id < lock_names.size(), "metrics merge: delta lock id has no name");
-    const auto own = lock_names_.id(lock_names[id]);
-    if (own >= lock_acquires_.size()) lock_acquires_.resize(own + 1, 0);
-    lock_acquires_[own] += delta.lock_acquires[id];
-  }
-  barrier_cycles_ += delta.barrier_cycles;
-  events_.add(delta.events);
+  return events_;
 }
 
 }  // namespace cs31::trace

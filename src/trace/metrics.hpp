@@ -1,34 +1,27 @@
-// A perf/metrics EventSink: consumes the same drained stream as the
-// race detectors but counts instead of checking — per-thread event
-// mix (reads/writes/sync operations) and per-lock acquire counts as a
-// contention proxy. Attach it next to a Detector on one TraceContext
-// and a single traced run yields both a race certificate and a
-// contention profile.
+// Event-mix metrics for a traced run: per-thread counts of reads,
+// writes and sync operations, plus per-lock acquire counts as a
+// contention proxy. A MetricsSink attached to a TraceContext or an
+// AnalysisPipeline (attach_metrics) yields a contention profile next to
+// the race certificate of the same run.
 //
-// Counting is lock-free on the per-event path: each thread's metrics
-// row is a cache-line-aligned block of relaxed atomics living in
-// chunked stable storage (rows never move once published), and the
-// event total is a common::ShardedCounter. The sink's one mutex guards
-// only structure — registering/forking threads, the lock-name map an
-// acquire must consult, barrier-cycle bookkeeping, and readers — so a
-// read/write/release/send/recv costs two uncontended fetch_adds, not a
-// mutex round-trip per event. (The sink used to take its mutex on
-// every event; with several pipeline shards merging or an inline drain
-// racing a metrics poll, that lock was pure serialization for what is
-// statistically-mergeable counting — exactly the per-CPU-counter case
-// from McKenney ch. 5.)
+// One counting path, perfbook's statistical counters (ch. 5): whoever
+// reads the drained stream — the context's drain or a pipeline shard —
+// counts each event it owns into a private MetricsDelta (plain
+// integers, no shared state per event), and the deltas are merged into
+// the MetricsSink at quiescent points: after each inline drain, and
+// when the pipeline goes idle. The sink's one mutex is taken once per
+// merge and once per read, never per event. Both sides count only while
+// a sink is attached.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/sharded_counter.hpp"
-#include "race/detector.hpp"
 #include "race/interner.hpp"
+#include "trace/event.hpp"
 
 namespace cs31::trace {
 
@@ -47,110 +40,51 @@ struct ThreadMetrics {
   }
 };
 
-/// Lock-free per-shard accumulator for pipelined analysis: a shard
-/// (shard 0 alone for sync events) counts into its own delta —
-/// plain integers, no shared atomics on the hot path — and the deltas
-/// are merged into the MetricsSink when the pipeline goes idle. Thread
-/// ids and lock ids are the *context's* ids; lock names are resolved at
-/// merge time via the name table the merger passes in.
+/// One reader's private counts since its last merge. Thread ids and
+/// lock ids are the *context's* ids; lock names are resolved at merge
+/// time through the name table the merger passes in.
 struct MetricsDelta {
-  std::vector<ThreadMetrics> threads;          ///< by context thread id
-  std::vector<std::uint64_t> lock_acquires;    ///< by context lock id
+  std::vector<ThreadMetrics> threads;        ///< by context thread id
+  std::vector<std::uint64_t> lock_acquires;  ///< by context lock id
+  std::vector<NameId> locks_in_first_acquire_order;
   std::uint64_t barrier_cycles = 0;
   std::uint64_t events = 0;
 
-  [[nodiscard]] ThreadMetrics& of(race::ThreadId t) {
+  [[nodiscard]] ThreadMetrics& of(ThreadId t) {
     if (t >= threads.size()) threads.resize(t + 1);
     return threads[t];
   }
-  void count_acquire(race::ThreadId t, race::NameId lock) {
-    ++of(t).acquires;
-    if (lock >= lock_acquires.size()) lock_acquires.resize(lock + 1, 0);
-    ++lock_acquires[lock];
-    ++events;
-  }
-  [[nodiscard]] bool empty() const {
-    return threads.empty() && lock_acquires.empty() && barrier_cycles == 0 && events == 0;
-  }
+  /// Count one drained event. `waiter_sets` resolves a BarrierCycle's
+  /// payload (the context's waiter-set table, or a copy of it).
+  void count(const Event& event, const std::vector<std::vector<ThreadId>>& waiter_sets);
 };
 
-class MetricsSink final : public race::EventSink {
+class MetricsSink {
  public:
-  MetricsSink();
-  ~MetricsSink() override;
-
+  MetricsSink() = default;
   MetricsSink(const MetricsSink&) = delete;
   MetricsSink& operator=(const MetricsSink&) = delete;
 
-  // --- EventSink ---
-  [[nodiscard]] race::ThreadId register_thread() override;
-  [[nodiscard]] race::ThreadId fork(race::ThreadId parent) override;
-  void join(race::ThreadId parent, race::ThreadId child) override;
-  void acquire(race::ThreadId t, const std::string& lock) override;
-  void release(race::ThreadId t, const std::string& lock) override;
-  void barrier(const std::vector<race::ThreadId>& waiters) override;
-  void channel_send(race::ThreadId t, const std::string& channel) override;
-  void channel_recv(race::ThreadId t, const std::string& channel) override;
-  void read(race::ThreadId t, const std::string& var, const std::string& where) override;
-  void write(race::ThreadId t, const std::string& var, const std::string& where) override;
+  /// Fold one reader's delta into the totals. `lock_names[id]` names
+  /// the delta's lock ids.
+  void merge(const MetricsDelta& delta, const std::vector<std::string>& lock_names);
 
-  /// A metrics sink never reports races.
-  [[nodiscard]] const std::vector<race::RaceReport>& races() const override;
-  [[nodiscard]] bool race_free() const override { return true; }
-  [[nodiscard]] std::uint64_t race_count() const override { return 0; }
-  [[nodiscard]] std::uint64_t events() const override;
-  [[nodiscard]] std::size_t threads() const override;
-  [[nodiscard]] std::size_t shadow_bytes() const override;
-  [[nodiscard]] std::string summary() const override;
-
-  // --- metrics ---
-  // Readers sum the atomics: exact once writers are quiescent (after a
-  // flush / wait_idle); a read racing live counting may miss in-flight
-  // increments but never double-counts — the ShardedCounter contract.
+  // Readers are exact once the feeding context is flushed.
+  /// One row per traced thread (thread 0 always has one).
   [[nodiscard]] std::vector<ThreadMetrics> per_thread() const;
   /// (lock name, acquire count), by first-acquire order — the hotter a
   /// lock, the more serialization it imposes.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> lock_acquires() const;
   [[nodiscard]] std::uint64_t barrier_cycles() const;
-
-  /// Fold one worker's delta into the totals (one lock acquisition per
-  /// *flush*, not per event). `lock_names[id]` names the delta's lock
-  /// ids; a merged run's totals equal the inline sink's exactly.
-  void merge(const MetricsDelta& delta, const std::vector<std::string>& lock_names);
+  [[nodiscard]] std::uint64_t events() const;
 
  private:
-  /// One thread's counters. Same layout cost as ThreadMetrics, but each
-  /// field is independently updatable with a relaxed fetch_add, and the
-  /// row is line-aligned so two threads' rows never share a cache line.
-  struct alignas(64) AtomicThreadMetrics {
-    std::atomic<std::uint64_t> reads{0}, writes{0}, acquires{0}, releases{0},
-        sends{0}, recvs{0}, barriers{0};
-  };
-  static constexpr std::size_t kRowsPerChunk = 64;
-  static constexpr std::size_t kMaxChunks = 1024;  ///< 64Ki threads
-  struct Chunk {
-    std::array<AtomicThreadMetrics, kRowsPerChunk> rows{};
-  };
-
-  /// The row for `t`; throws cs31::Error on an unregistered id. Safe
-  /// without the mutex: a row is published (release) before the thread
-  /// count that makes it addressable, and published chunks never move.
-  [[nodiscard]] AtomicThreadMetrics& row(race::ThreadId t) const;
-  [[nodiscard]] ThreadMetrics snapshot_row(race::ThreadId t) const;
-  /// Ensure rows [0, count) exist and publish the new count. Caller
-  /// holds mutex_.
-  void grow_locked(std::size_t count);
-
-  /// Guards structure only: thread registration, the lock-name map,
-  /// barrier bookkeeping, merges, and multi-value readers. Never taken
-  /// by read/write/release/send/recv.
   mutable std::mutex mutex_;
-  std::atomic<std::size_t> thread_count_{0};
-  std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
-  common::ShardedCounter events_;
+  std::vector<ThreadMetrics> threads_{1};
   race::Interner lock_names_;
-  std::vector<std::uint64_t> lock_acquires_;  // by lock id; guarded by mutex_
-  std::uint64_t barrier_cycles_ = 0;          // guarded by mutex_
+  std::vector<std::uint64_t> lock_acquires_;  ///< by lock_names_ id
+  std::uint64_t barrier_cycles_ = 0;
+  std::uint64_t events_ = 0;
 };
 
 }  // namespace cs31::trace

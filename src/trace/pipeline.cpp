@@ -38,15 +38,12 @@ AnalysisPipeline::~AnalysisPipeline() {
 void AnalysisPipeline::attach_metrics(MetricsSink& sink) {
   std::scoped_lock lock(merge_mutex_);
   require(metrics_sink_ == nullptr, "analysis pipeline already has a metrics sink");
+  require(next_index_ == 0, "attach the metrics sink before the first publish");
   metrics_sink_ = &sink;
 }
 
 void AnalysisPipeline::publish(EventBatch batch) {
-  if (batch.events.empty() && batch.new_vars.empty() && batch.new_locks.empty() &&
-      batch.new_channels.empty() && batch.new_sites.empty() &&
-      batch.new_waiter_sets.empty()) {
-    return;
-  }
+  if (batch.empty()) return;
   // One immutable batch, shared by every shard: the publisher numbers
   // the events (event i is global event first + i) and hands each shard
   // queue a pointer — O(shards), no copy, no per-event work.
@@ -56,21 +53,6 @@ void AnalysisPipeline::publish(EventBatch batch) {
   // woken at its queue's half-full mark, not per batch.
   for (auto& shard : shards_) shard->queue.push_batched(chunk);
 }
-
-namespace {
-
-/// Sink-side id for a context id, translating through `map` and
-/// interning into the shard's detector on first sight (the same scheme
-/// the inline SinkBinding uses).
-template <typename Intern>
-NameId translate(std::vector<NameId>& map, NameId id, Intern&& intern) {
-  constexpr NameId kUnset = static_cast<NameId>(-1);
-  if (id >= map.size()) map.resize(id + 1, kUnset);
-  if (map[id] == kUnset) map[id] = intern();
-  return map[id];
-}
-
-}  // namespace
 
 void AnalysisPipeline::shard_main(Shard& shard) {
   while (shard.queue.wait_nonempty()) {
@@ -95,137 +77,19 @@ bool AnalysisPipeline::consume_one(Shard& shard) {
   ShardChunk chunk;
   if (!shard.queue.try_pop(chunk)) return false;
   const auto begin = std::chrono::steady_clock::now();
-  const EventBatch& batch = *chunk.batch;
-  shard.vars.insert(shard.vars.end(), batch.new_vars.begin(), batch.new_vars.end());
-  shard.locks.insert(shard.locks.end(), batch.new_locks.begin(), batch.new_locks.end());
-  shard.channels.insert(shard.channels.end(), batch.new_channels.begin(),
-                        batch.new_channels.end());
-  shard.sites.insert(shard.sites.end(), batch.new_sites.begin(), batch.new_sites.end());
-  shard.waiter_sets.insert(shard.waiter_sets.end(), batch.new_waiter_sets.begin(),
-                           batch.new_waiter_sets.end());
-  const auto shard_count = static_cast<NameId>(shards_.size());
-  const auto own = static_cast<NameId>(shard.stats.shard);
-  std::uint64_t index = chunk.first_index;
-  for (const Event& event : batch.events) {
-    // Sync events reach every shard, so each advances the same
-    // happens-before state an inline detector would hold; an access
-    // event belongs to exactly one shard, by interned variable id.
-    if (is_sync(event.kind) || shard_count == 1 || event.id % shard_count == own) {
-      apply(shard, event, index);
-    }
-    ++index;
-  }
+  // metrics_sink_ is set before the first publish, and this batch was
+  // popped after it, so reading it here needs no lock.
+  const Feed::Applied applied =
+      shard.feed.apply(*chunk.batch, chunk.first_index, shard.stats.shard, shards_.size(),
+                       metrics_sink_ != nullptr ? &shard.metrics : nullptr);
+  shard.stats.access_events += applied.accesses;
+  shard.stats.sync_events += applied.syncs;
   ++shard.stats.chunks;
   shard.stats.busy_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
   chunk = ShardChunk{};  // drop this shard's hold on the batch before done()
   shard.queue.done();
   return true;
-}
-
-void AnalysisPipeline::apply(Shard& shard, const Event& event, std::uint64_t index) {
-  race::Detector& detector = shard.detector;
-  // Pin the detector's event clock to the publisher's global numbering,
-  // so this shard's AccessSite.event values — and therefore its reports
-  // — match what an inline detector seeing the whole stream would record.
-  // Every detector call below advances the clock by one, so only a jump
-  // (events owned by other shards) needs the extra locked call.
-  if (shard.clock != index - 1) detector.set_event_clock(index - 1);
-  shard.clock = index;
-  const ThreadId t = shard.tid_map[event.thread];
-  switch (event.kind) {
-    case EventKind::Read:
-    case EventKind::Write: {
-      const NameId var = translate(shard.var_map, event.id,
-                                   [&] { return detector.intern_var(shard.vars[event.id]); });
-      const NameId site = translate(shard.site_map, event.site, [&] {
-        return detector.intern_site(shard.sites[event.site]);
-      });
-      if (event.kind == EventKind::Read) {
-        detector.read(t, var, site);
-        ++shard.metrics.of(event.thread).reads;
-      } else {
-        detector.write(t, var, site);
-        ++shard.metrics.of(event.thread).writes;
-      }
-      ++shard.metrics.events;
-      ++shard.stats.access_events;
-      return;
-    }
-    case EventKind::Acquire:
-    case EventKind::Release: {
-      const NameId lock = translate(shard.lock_map, event.id, [&] {
-        return detector.intern_lock(shard.locks[event.id]);
-      });
-      if (event.kind == EventKind::Acquire) {
-        detector.acquire(t, lock);
-      } else {
-        detector.release(t, lock);
-      }
-      break;
-    }
-    case EventKind::ChannelSend:
-    case EventKind::ChannelRecv: {
-      const NameId channel = translate(shard.channel_map, event.id, [&] {
-        return detector.intern_channel(shard.channels[event.id]);
-      });
-      if (event.kind == EventKind::ChannelSend) {
-        detector.channel_send(t, channel);
-      } else {
-        detector.channel_recv(t, channel);
-      }
-      break;
-    }
-    case EventKind::Fork: {
-      const ThreadId child = detector.fork(t);
-      if (event.id >= shard.tid_map.size()) shard.tid_map.resize(event.id + 1, 0);
-      shard.tid_map[event.id] = child;
-      break;
-    }
-    case EventKind::Join:
-      detector.join(t, shard.tid_map[event.id]);
-      break;
-    case EventKind::BarrierCycle: {
-      const std::vector<ThreadId>& waiters = shard.waiter_sets[event.id];
-      std::vector<ThreadId> mapped;
-      mapped.reserve(waiters.size());
-      for (const ThreadId w : waiters) mapped.push_back(shard.tid_map[w]);
-      detector.barrier(mapped);
-      break;
-    }
-  }
-  ++shard.stats.sync_events;
-  if (shard.stats.shard == 0) count_sync(shard, event);
-}
-
-void AnalysisPipeline::count_sync(Shard& shard, const Event& event) {
-  // Every shard sees every sync event; shard 0 alone counts them, so
-  // nothing is counted twice.
-  MetricsDelta& metrics = shard.metrics;
-  switch (event.kind) {
-    case EventKind::Acquire:
-      metrics.count_acquire(event.thread, event.id);  // bumps events itself
-      return;
-    case EventKind::Release:
-      ++metrics.of(event.thread).releases;
-      break;
-    case EventKind::ChannelSend:
-      ++metrics.of(event.thread).sends;
-      break;
-    case EventKind::ChannelRecv:
-      ++metrics.of(event.thread).recvs;
-      break;
-    case EventKind::Fork:
-      (void)metrics.of(event.id);  // the child gets a row
-      break;
-    case EventKind::BarrierCycle:
-      for (const ThreadId w : shard.waiter_sets[event.id]) ++metrics.of(w).barriers;
-      ++metrics.barrier_cycles;
-      break;
-    default:
-      break;
-  }
-  ++metrics.events;
 }
 
 void AnalysisPipeline::wait_idle() {
@@ -244,11 +108,10 @@ void AnalysisPipeline::merge_metrics_locked() {
   if (metrics_sink_ == nullptr) return;
   // The workers are idle (wait_idle just proved it), so their deltas
   // are stable; merging clears them so the next idle point only adds
-  // what is new. Each shard resolves lock ids through its own copy of
-  // the lock table (only shard 0 counts acquires).
+  // what is new. Each shard resolves lock ids through its own Feed's
+  // copy of the lock table (only shard 0 counts acquires).
   for (auto& shard : shards_) {
-    if (shard->metrics.empty()) continue;
-    metrics_sink_->merge(shard->metrics, shard->locks);
+    metrics_sink_->merge(shard->metrics, shard->feed.lock_names());
     shard->metrics = MetricsDelta{};
   }
 }

@@ -11,15 +11,17 @@
 //            pushes, no copy, no per-event work on the draining thread,
 //            and no router thread in between.
 //   shard  — N shards, each owning a private race::Detector — a
-//            disjoint slice of FastTrack shadow state, and a thread
-//            that applies its batches in queue order (helpers borrow
-//            the same per-shard lock, see below). A shard applies
-//            every sync event and exactly the access events whose
-//            interned variable id it owns (var % shards). Per-variable
-//            VarState makes the split exact; thread/lock/channel vector
-//            clocks evolve only on the sync events every shard sees, so
-//            every shard holds the same happens-before state an inline
-//            detector would, and the shards never share a mutable byte.
+//            disjoint slice of FastTrack shadow state — read through a
+//            trace::Feed (feed.hpp, the same reader an inline drain
+//            uses), and a thread that applies its batches in queue
+//            order (helpers borrow the same per-shard lock, see below).
+//            A shard applies every sync event and exactly the access
+//            events whose interned variable id it owns (var % shards).
+//            Per-variable VarState makes the split exact;
+//            thread/lock/channel vector clocks evolve only on the sync
+//            events every shard sees, so every shard holds the same
+//            happens-before state an inline detector would, and the
+//            shards never share a mutable byte.
 //   merge  — per-shard reports carry the global event numbers
 //            (Detector::set_event_clock), so race::merge_shard_reports
 //            reconstructs inline detection order exactly: reports,
@@ -59,9 +61,8 @@
 //
 // Lifetime: construct the pipeline BEFORE the TraceContext that feeds
 // it (destruction then stops the workers after the context's last
-// drain). Batches are self-contained — events plus the name-table and
-// waiter-set deltas interned since the previous publish — so pipeline
-// threads never call back into the context.
+// drain). Batches are self-contained (feed.hpp), so pipeline threads
+// never call back into the context.
 #pragma once
 
 #include <cstdint>
@@ -73,20 +74,10 @@
 
 #include "common/bounded_queue.hpp"
 #include "race/detector.hpp"
-#include "trace/event.hpp"
+#include "trace/feed.hpp"
 #include "trace/metrics.hpp"
 
 namespace cs31::trace {
-
-/// One drain's dispatched prefix, in drain order, plus everything the
-/// events reference that the pipeline has not seen yet (names and
-/// barrier waiter sets are append-only tables; the delta is the tail
-/// grown since the last publish).
-struct EventBatch {
-  std::vector<Event> events;
-  std::vector<std::string> new_vars, new_locks, new_channels, new_sites;
-  std::vector<std::vector<ThreadId>> new_waiter_sets;
-};
 
 /// Per-shard throughput accounting, for the shard-scaling measurement
 /// in bench_race_overhead: `busy_seconds` is time spent analyzing (not
@@ -114,11 +105,11 @@ class AnalysisPipeline {
   AnalysisPipeline(const AnalysisPipeline&) = delete;
   AnalysisPipeline& operator=(const AnalysisPipeline&) = delete;
 
-  /// Also maintain event-mix metrics: each shard counts into a private
-  /// MetricsDelta (no shared state on the hot path; shard 0 also counts
-  /// the sync events every shard sees),
-  /// merged into `sink` each time the pipeline goes idle. Attach before
-  /// the first publish; the sink must outlive the pipeline.
+  /// Also count the event mix: each shard's Feed counts the events it
+  /// owns into the shard's private MetricsDelta (shard 0 also counts the
+  /// sync events every shard sees), merged into `sink` each time the
+  /// pipeline goes idle. Attach before the first publish; the sink must
+  /// outlive the pipeline.
   void attach_metrics(MetricsSink& sink);
 
   // --- producer side (called by TraceContext) --------------------------
@@ -176,13 +167,8 @@ class AnalysisPipeline {
     std::mutex consumer;
     std::thread worker;
     race::Detector detector;
-    std::uint64_t clock = 0;  ///< the detector's event clock (events applied)
-    // Context-id translation state, mirroring the inline SinkBinding.
-    std::vector<ThreadId> tid_map{0};  ///< context tid -> detector tid
-    std::vector<NameId> var_map, lock_map, channel_map, site_map;
-    std::vector<std::string> vars, locks, channels, sites;  ///< by context id
-    std::vector<std::vector<ThreadId>> waiter_sets;
-    MetricsDelta metrics;
+    Feed feed{&detector};
+    MetricsDelta metrics;  ///< counted only while a sink is attached
     ShardStats stats;
   };
 
@@ -190,9 +176,6 @@ class AnalysisPipeline {
   /// Take and apply the shard's next batch; false when its queue is
   /// empty. Caller holds shard.consumer.
   bool consume_one(Shard& shard);
-  void apply(Shard& shard, const Event& event, std::uint64_t index);
-  /// Shard 0's share of the metrics: the sync-event mix.
-  static void count_sync(Shard& shard, const Event& event);
   void merge_metrics_locked();
 
   const Options options_;
@@ -204,10 +187,8 @@ class AnalysisPipeline {
 
   /// Serializes only the idle-point delta merge (two concurrent
   /// wait_idle callers must not fold the same delta twice) and sink
-  /// attachment. No per-event or per-batch path takes it: workers count
-  /// into their private deltas, and MetricsSink itself counts through
-  /// per-shard atomics — the metrics totals are per-shard counters
-  /// merged on read, never a hot-path lock.
+  /// attachment. No per-event or per-batch path takes it: shards count
+  /// into their private deltas.
   std::mutex merge_mutex_;
   MetricsSink* metrics_sink_ = nullptr;  ///< set once, before first publish
 };

@@ -106,6 +106,67 @@ TEST(Toolchain, MiniCPoisonSpinTimesOutDeterministically) {
   EXPECT_NE(v.notes[0].find("instruction budget"), std::string::npos);
 }
 
+std::string repeated(const std::string& text, int times) {
+  std::string out;
+  out.reserve(text.size() * static_cast<std::size_t>(times));
+  for (int i = 0; i < times; ++i) out += text;
+  return out;
+}
+
+TEST(Toolchain, MiniCDeepNestingIsACompileError) {
+  // Each of these overflowed the stack (SIGSEGV) before the parser had
+  // a depth budget: the first three nest, the sum nests to the left.
+  const std::vector<std::pair<std::string, std::string>> bodies = {
+      {"200k '('", "int main() { return " + std::string(200'000, '(') + "1" +
+                       std::string(200'000, ')') + "; }"},
+      {"200k unary '-'", "int main() { return " + std::string(200'000, '-') + "1; }"},
+      {"50k nested if", "int main() { " + repeated("if (1) { ", 50'000) + "return 0; " +
+                            repeated("} ", 50'000) + "return 1; }"},
+      {"60k-term sum", "int main() { return 1" + repeated("+1", 59'999) + "; }"},
+  };
+  for (const auto& [name, body] : bodies) {
+    const Verdict v = run_toolchain({"s", SubmissionKind::MiniC, body}, test_limits());
+    EXPECT_EQ(v.status, "compile_error") << name;
+    EXPECT_EQ(v.score, 0) << name;
+    ASSERT_EQ(v.notes.size(), 1u) << name;
+    EXPECT_NE(v.notes[0].find("nesting too deep"), std::string::npos) << v.notes[0];
+  }
+  // Well inside the budget, a long sum still compiles and runs.
+  const Verdict sum = run_toolchain(
+      {"s", SubmissionKind::MiniC, "int main() { return 1" + repeated("+1", 399) + "; }"},
+      test_limits());
+  EXPECT_EQ(sum.status, "ok") << sum.to_json();
+  EXPECT_EQ(sum.result, 400);
+}
+
+/// One byte over kMaxBodyBytes: refused before any front-end reads it.
+Verdict oversized(SubmissionKind kind) {
+  return run_toolchain({"s", kind, std::string(kMaxBodyBytes + 1, ' ')}, test_limits());
+}
+
+void expect_refused_as(const Verdict& v, const std::string& status) {
+  EXPECT_EQ(v.status, status) << v.to_json();
+  EXPECT_EQ(v.score, 0);
+  ASSERT_EQ(v.notes.size(), 1u);
+  EXPECT_EQ(v.notes[0], "body is 1048577 bytes, over the 1048576-byte limit");
+}
+
+TEST(Toolchain, OversizedMiniCBodyIsACompileError) {
+  expect_refused_as(oversized(SubmissionKind::MiniC), "compile_error");
+}
+
+TEST(Toolchain, OversizedAssemblyBodyIsACompileError) {
+  expect_refused_as(oversized(SubmissionKind::Assembly), "compile_error");
+}
+
+TEST(Toolchain, OversizedLifeBodyIsInvalid) {
+  expect_refused_as(oversized(SubmissionKind::LifeTrace), "invalid");
+}
+
+TEST(Toolchain, OversizedScriptBodyIsInvalid) {
+  expect_refused_as(oversized(SubmissionKind::Script), "invalid");
+}
+
 TEST(Toolchain, MiniCCompileVerdictsAreGolden) {
   // Exact verdicts for the bodies whose outcome depends on the order of
   // the compile stages: a codegen error wins over a missing main and

@@ -97,7 +97,7 @@ TEST(TraceCapture, RealThreadsCaptureThroughATracedTeam) {
 TEST(TraceCapture, MetricsSinkCountsTheEventMix) {
   TraceContext ctx(TraceContext::Options{.own_detector = false});
   MetricsSink metrics;
-  ctx.attach_sink(metrics);
+  ctx.attach_metrics(metrics);
   const NameId v = ctx.intern_var("v");
   const NameId m = ctx.intern_lock("m");
   const NameId ch = ctx.intern_channel("ch");
@@ -130,8 +130,26 @@ TEST(TraceCapture, MetricsSinkCountsTheEventMix) {
   EXPECT_EQ(locks[0].first, "m");
   EXPECT_EQ(locks[0].second, 2u);
   EXPECT_EQ(metrics.barrier_cycles(), 1u);
-  EXPECT_TRUE(metrics.race_free());
-  EXPECT_TRUE(metrics.races().empty());
+  MetricsSink late;
+  EXPECT_THROW(ctx.attach_metrics(late), Error);
+}
+
+TEST(TraceCapture, SinksAttachOnlyBeforeTheFirstDrain) {
+  // A sink's Feed learns names and waiter sets only from drain batches,
+  // so one attached after a drain would never see what that drain
+  // shipped: the context refuses it instead of feeding it silently.
+  TraceContext ctx;
+  const ThreadId worker = ctx.fork_thread(0);
+  ctx.write_as(worker, ctx.intern_var("v"), ctx.intern_site("before the attach"));
+  ctx.join_thread(0, worker);
+  ctx.flush();
+  ASSERT_GT(ctx.drains(), 0u);
+  race::Detector late;
+  EXPECT_THROW(ctx.attach_sink(late), Error);
+  ctx.write_as(0, ctx.intern_var("v"), ctx.intern_site("after the attach"));
+  ctx.flush();
+  EXPECT_TRUE(ctx.detector().race_free());
+  EXPECT_EQ(late.events(), 0u);
 }
 
 TEST(TraceCapture, DrainBetweenStageAndDrainStagedMergesTheStagedCycle) {
@@ -270,9 +288,11 @@ TEST(TracedBoundedBufferSlots, RaceIsLocalizedToTheExactItem) {
 // later test, and its cumulative lock-order graph then reports cycles
 // spanning unrelated tests. Freed heap memory resets that metadata.
 life::TracedLifeResult piped_life(const life::Grid& initial, bool use_barrier,
-                                  std::size_t shards, std::size_t queue_capacity = 8) {
+                                  std::size_t shards, std::size_t queue_capacity = 8,
+                                  MetricsSink* metrics = nullptr) {
   const auto pipeline = std::make_unique<AnalysisPipeline>(
       AnalysisPipeline::Options{.shards = shards, .queue_capacity = queue_capacity});
+  if (metrics != nullptr) pipeline->attach_metrics(*metrics);
   life::TracedLifeOptions options;
   options.use_barrier = use_barrier;
   options.pipeline = pipeline.get();
@@ -282,15 +302,25 @@ life::TracedLifeResult piped_life(const life::Grid& initial, bool use_barrier,
 TEST(AnalysisPipelineTest, RaceReportsByteIdenticalAcrossShardCounts) {
   // The determinism contract: the barrier-less Life's full race report
   // — every reported pair, in inline detection order, with inline event
-  // numbers — survives any sharding of the analysis.
+  // numbers — survives any sharding of the analysis, with the event mix
+  // counted by the shards (MergedMetricsEqualTheInlineSink checks the
+  // shards' counts against an inline context's).
   const life::Grid initial = life::Grid::random(12, 12, 0.3, 2022);
   const auto inline_run = life::traced_life_check(initial, 3, 3, /*use_barrier=*/false);
   ASSERT_FALSE(inline_run.race_free);
+  std::vector<std::uint64_t> one_shard_totals;
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    const auto piped = piped_life(initial, /*use_barrier=*/false, shards);
+    const auto piped_metrics = std::make_unique<MetricsSink>();
+    const auto piped =
+        piped_life(initial, /*use_barrier=*/false, shards, 8, piped_metrics.get());
     EXPECT_EQ(piped.report, inline_run.report) << shards << " shards";
     EXPECT_EQ(piped.races.size(), inline_run.races.size()) << shards << " shards";
     EXPECT_EQ(piped.events, inline_run.events) << shards << " shards";
+    EXPECT_EQ(piped_metrics->events(), inline_run.events) << shards << " shards";
+    std::vector<std::uint64_t> totals;
+    for (const ThreadMetrics& row : piped_metrics->per_thread()) totals.push_back(row.total());
+    if (one_shard_totals.empty()) one_shard_totals = totals;
+    EXPECT_EQ(totals, one_shard_totals) << shards << " shards";
   }
 }
 
@@ -396,8 +426,9 @@ TEST(AnalysisPipelineTest, RealThreadLifeCertificateMatchesInline) {
 
 TEST(AnalysisPipelineTest, MergedMetricsEqualTheInlineSink) {
   // Per-shard MetricsDelta accumulation, merged at wait_idle, must
-  // reproduce the inline MetricsSink's totals exactly — threads, locks,
-  // barrier cycles, event count.
+  // reproduce the totals an inline context merges after each drain
+  // exactly — threads, locks, barrier cycles, event count — for any
+  // shard count.
   const auto script = [](TraceContext& ctx) {
     TracedVar<int> x("x", ctx);
     TracedMutex m("m", ctx);
@@ -411,37 +442,49 @@ TEST(AnalysisPipelineTest, MergedMetricsEqualTheInlineSink) {
     ctx.flush();
   };
 
+  // The inline side also runs its own detector, so the counting Feed is
+  // a Detector's and both sides carry a verdict beside the counts.
   const auto inline_metrics = std::make_unique<MetricsSink>();
+  std::string inline_summary;
   {
-    const auto ctx = std::make_unique<TraceContext>(
-        TraceContext::Options{.own_detector = false});
-    ctx->attach_sink(*inline_metrics);
+    const auto ctx = std::make_unique<TraceContext>();
+    ctx->attach_metrics(*inline_metrics);
     script(*ctx);
+    EXPECT_TRUE(ctx->detector().race_free());
+    EXPECT_EQ(ctx->detector().events(), inline_metrics->events());
+    inline_summary = ctx->detector().summary();
   }
-
-  const auto piped_metrics = std::make_unique<MetricsSink>();
-  {
-    const auto pipeline = std::make_unique<AnalysisPipeline>(
-        AnalysisPipeline::Options{.shards = 2, .queue_capacity = 4});
-    pipeline->attach_metrics(*piped_metrics);
-    const auto ctx = std::make_unique<TraceContext>(
-        TraceContext::Options{.own_detector = false});
-    ctx->attach_pipeline(*pipeline);
-    script(*ctx);
-  }
-
-  EXPECT_EQ(piped_metrics->events(), inline_metrics->events());
-  EXPECT_EQ(piped_metrics->barrier_cycles(), inline_metrics->barrier_cycles());
-  EXPECT_EQ(piped_metrics->lock_acquires(), inline_metrics->lock_acquires());
   const auto inline_threads = inline_metrics->per_thread();
-  const auto piped_threads = piped_metrics->per_thread();
-  ASSERT_EQ(piped_threads.size(), inline_threads.size());
-  for (std::size_t t = 0; t < inline_threads.size(); ++t) {
-    EXPECT_EQ(piped_threads[t].reads, inline_threads[t].reads) << "thread " << t;
-    EXPECT_EQ(piped_threads[t].writes, inline_threads[t].writes) << "thread " << t;
-    EXPECT_EQ(piped_threads[t].acquires, inline_threads[t].acquires) << "thread " << t;
-    EXPECT_EQ(piped_threads[t].releases, inline_threads[t].releases) << "thread " << t;
-    EXPECT_EQ(piped_threads[t].barriers, inline_threads[t].barriers) << "thread " << t;
+  ASSERT_EQ(inline_threads.size(), 4u);  // main + 3 workers
+  EXPECT_EQ(inline_metrics->lock_acquires().size(), 1u);
+
+  for (const std::size_t shards : {1u, 2u, 3u}) {
+    const auto piped_metrics = std::make_unique<MetricsSink>();
+    {
+      const auto pipeline = std::make_unique<AnalysisPipeline>(
+          AnalysisPipeline::Options{.shards = shards, .queue_capacity = 4});
+      pipeline->attach_metrics(*piped_metrics);
+      const auto ctx = std::make_unique<TraceContext>(
+          TraceContext::Options{.own_detector = false});
+      ctx->attach_pipeline(*pipeline);
+      script(*ctx);
+      EXPECT_EQ(pipeline->summary(), inline_summary) << shards << " shards";
+    }
+
+    EXPECT_EQ(piped_metrics->events(), inline_metrics->events()) << shards << " shards";
+    EXPECT_EQ(piped_metrics->barrier_cycles(), inline_metrics->barrier_cycles())
+        << shards << " shards";
+    EXPECT_EQ(piped_metrics->lock_acquires(), inline_metrics->lock_acquires())
+        << shards << " shards";
+    const auto piped_threads = piped_metrics->per_thread();
+    ASSERT_EQ(piped_threads.size(), inline_threads.size()) << shards << " shards";
+    for (std::size_t t = 0; t < inline_threads.size(); ++t) {
+      EXPECT_EQ(piped_threads[t].reads, inline_threads[t].reads) << "thread " << t;
+      EXPECT_EQ(piped_threads[t].writes, inline_threads[t].writes) << "thread " << t;
+      EXPECT_EQ(piped_threads[t].acquires, inline_threads[t].acquires) << "thread " << t;
+      EXPECT_EQ(piped_threads[t].releases, inline_threads[t].releases) << "thread " << t;
+      EXPECT_EQ(piped_threads[t].barriers, inline_threads[t].barriers) << "thread " << t;
+    }
   }
 }
 
